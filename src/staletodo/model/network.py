@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .optimizer import RowGradient
 from .vocab import PAD_INDEX
 
 LOSS_EPS = 1e-7
@@ -60,9 +61,9 @@ class MlpParams:
 class Gradients:
     mlp_w: list[np.ndarray]
     mlp_b: list[np.ndarray]
-    emb: dict[Component, np.ndarray] = field(default_factory=dict)
+    emb: dict[Component, RowGradient] = field(default_factory=dict)
 
-    def arrays(self) -> list[np.ndarray]:
+    def arrays(self) -> list[Union[np.ndarray, RowGradient]]:
         out = list(self.mlp_w) + list(self.mlp_b)
         for component in COMPONENT_ORDER:
             if component in self.emb:
@@ -237,14 +238,20 @@ def mlp_backward(mlp: MlpParams, cache: ForwardCache, label) -> tuple[Gradients,
 
 def embedding_gradient(
     d_h: np.ndarray, ids: np.ndarray, vocab_size: int, dim: int
-) -> np.ndarray:
-    """Scatter mean-pooling gradients back onto the embedding table."""
+) -> RowGradient:
+    """Scatter mean-pooling gradients back onto the rows of the embedding
+    table that the batch used.
+
+    Each row's contributions are added in token order, as a scatter into a
+    dense zero table would add them, so the values are bit-identical to it.
+    """
     ids = np.atleast_2d(np.asarray(ids))
     d_h = np.atleast_2d(d_h)
-    grad = np.zeros((vocab_size, dim))
     mask = ids != PAD_INDEX
     counts = np.maximum(mask.sum(axis=1), 1)
     contrib = d_h / counts[:, None]
     repeated = np.repeat(contrib, mask.sum(axis=1), axis=0)
-    np.add.at(grad, ids[mask], repeated)
-    return grad
+    rows, slots = np.unique(ids[mask], return_inverse=True)
+    values = np.zeros((rows.size, dim))
+    np.add.at(values, slots, repeated)
+    return RowGradient(rows=rows, values=values, num_rows=vocab_size)

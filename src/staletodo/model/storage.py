@@ -1,7 +1,8 @@
 """Model container files and the external-embedding interchange format.
 
 The model file is a numpy .npz archive: arrays stay bit-exact and a JSON
-header carries the vocabulary, the config echo and a format version.
+header carries the vocabulary, the config echo and a format version. It
+holds no optimizer state.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -11,14 +12,14 @@ round-trips exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import io
 import json
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 EXTERNAL_DIM = 768
 
 
@@ -99,30 +100,14 @@ def write_external_vectors(path: str, records: Iterable[tuple[str, np.ndarray]])
 def save_model(model, path: str) -> None:
     from .network import COMPONENT_ORDER  # local import avoids a cycle
 
-    config = model.config
+    config = dataclasses.asdict(model.config)
+    config["component_mask"] = sorted(c.value for c in config["component_mask"])
     meta = {
         "format_version": FORMAT_VERSION,
         "vocab": list(model.vocab.tokens),
-        "config": {
-            "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            "grad_clip_norm": config.grad_clip_norm,
-            "validate_every": config.validate_every,
-            "max_epochs": config.max_epochs,
-            "seed": config.seed,
-            "component_mask": sorted(c.value for c in config.component_mask),
-            "backend": config.backend,
-            "dim": config.dim,
-            "min_freq": config.min_freq,
-            "max_len_cc": config.max_len_cc,
-            "max_len_td": config.max_len_td,
-            "max_len_msg": config.max_len_msg,
-            "hidden_sizes": list(config.hidden_sizes) if config.hidden_sizes else None,
-            "dropout_rate": config.dropout_rate,
-        },
+        "config": config,
         "n_layers": len(model.mlp.weights),
         "encoders": [c.value for c in COMPONENT_ORDER if c in model.encoders],
-        "has_adam": model.adam is not None,
     }
     arrays: dict[str, np.ndarray] = {}
     for i, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
@@ -131,22 +116,15 @@ def save_model(model, path: str) -> None:
     for component in COMPONENT_ORDER:
         if component in model.encoders:
             arrays[f"emb_{component.value}"] = model.encoders[component].embedding
-    if model.adam is not None:
-        meta["adam_t"] = model.adam.t
-        for i, (m, v) in enumerate(zip(model.adam.m, model.adam.v)):
-            arrays[f"adam_m{i}"] = m
-            arrays[f"adam_v{i}"] = v
 
-    buffer = io.BytesIO()
-    np.savez(buffer, meta=np.array(json.dumps(meta)), **arrays)
+    # A file object, not a path: np.savez would append ".npz" to a path.
     with open(path, "wb") as fh:
-        fh.write(buffer.getvalue())
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_model(path: str):
     from .network import Component, EncoderParams, MlpParams
     from .training import ModelParams, TrainConfig
-    from .optimizer import AdamState
     from .vocab import make_vocab
 
     with np.load(path, allow_pickle=False) as archive:
@@ -157,42 +135,20 @@ def load_model(path: str):
             raise ModelFileError(
                 f"unsupported model format version {meta.get('format_version')!r}"
             )
-        cfg = meta["config"]
-        config = TrainConfig(
-            batch_size=cfg["batch_size"],
-            learning_rate=cfg["learning_rate"],
-            grad_clip_norm=cfg["grad_clip_norm"],
-            validate_every=cfg["validate_every"],
-            max_epochs=cfg["max_epochs"],
-            seed=cfg["seed"],
-            component_mask=frozenset(Component(v) for v in cfg["component_mask"]),
-            backend=cfg["backend"],
-            dim=cfg["dim"],
-            min_freq=cfg["min_freq"],
-            max_len_cc=cfg["max_len_cc"],
-            max_len_td=cfg["max_len_td"],
-            max_len_msg=cfg["max_len_msg"],
-            hidden_sizes=tuple(cfg["hidden_sizes"]) if cfg["hidden_sizes"] else None,
-            dropout_rate=cfg["dropout_rate"],
-        )
+        cfg = {f.name: meta["config"][f.name] for f in dataclasses.fields(TrainConfig)}
+        cfg["component_mask"] = frozenset(Component(v) for v in cfg["component_mask"])
+        if cfg["hidden_sizes"] is not None:
+            cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
+        config = TrainConfig(**cfg)
         weights = [archive[f"mlp_w{i}"] for i in range(meta["n_layers"])]
         biases = [archive[f"mlp_b{i}"] for i in range(meta["n_layers"])]
         encoders = {
             Component(v): EncoderParams(embedding=archive[f"emb_{v}"])
             for v in meta["encoders"]
         }
-        adam = None
-        if meta.get("has_adam"):
-            n_params = len(weights) + len(biases) + len(encoders)
-            adam = AdamState(
-                m=[archive[f"adam_m{i}"] for i in range(n_params)],
-                v=[archive[f"adam_v{i}"] for i in range(n_params)],
-                t=meta["adam_t"],
-            )
     return ModelParams(
         vocab=make_vocab(meta["vocab"]),
         encoders=encoders,
         mlp=MlpParams(weights=weights, biases=biases, dropout_rate=config.dropout_rate),
         config=config,
-        adam=adam,
     )

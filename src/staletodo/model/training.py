@@ -122,7 +122,6 @@ class ModelParams:
     encoders: dict[Component, EncoderParams]
     mlp: MlpParams
     config: TrainConfig
-    adam: Optional[AdamState] = None
 
 
 def _encode_samples(
@@ -321,9 +320,7 @@ def train(
     encoders_out = {
         c: EncoderParams(embedding=chosen["emb"][c].copy()) for c in chosen["emb"]
     }
-    model = ModelParams(
-        vocab=vocab, encoders=encoders_out, mlp=mlp_out, config=config, adam=adam
-    )
+    model = ModelParams(vocab=vocab, encoders=encoders_out, mlp=mlp_out, config=config)
     return model, history
 
 

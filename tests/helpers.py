@@ -192,7 +192,9 @@ def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
     _, cache = loss_and_cache()
     grads, d_input = mlp_backward(mlp, cache, labels)
     emb_grads = [
-        embedding_gradient(d_input[:, i * dim : (i + 1) * dim], ids[i], vocab_size, dim)
+        embedding_gradient(
+            d_input[:, i * dim : (i + 1) * dim], ids[i], vocab_size, dim
+        ).to_dense()
         for i in range(3)
     ]
     params = list(mlp.weights) + list(mlp.biases) + tables

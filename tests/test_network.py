@@ -43,6 +43,16 @@ def straight_line_score(h_parts, weights, biases):
     return 1.0 / (1.0 + math.exp(-z[0]))
 
 
+def dense_scatter(d_h, ids, vocab_size, dim):
+    """Mean-pooling gradient scattered into a dense zero table, token by token."""
+    grad = np.zeros((vocab_size, dim))
+    mask = ids != PAD_INDEX
+    counts = np.maximum(mask.sum(axis=1), 1)
+    repeated = np.repeat(d_h / counts[:, None], mask.sum(axis=1), axis=0)
+    np.add.at(grad, ids[mask], repeated)
+    return grad
+
+
 class TestMeanPool:
     def test_all_pad_gives_zero_vector(self):
         table = np.arange(20.0).reshape(5, 4)
@@ -210,22 +220,34 @@ class TestEmbeddingGradient:
     def test_pad_only_rows_zero(self):
         d_h = np.ones((1, 3))
         ids = np.full((1, 4), PAD_INDEX)
-        grad = embedding_gradient(d_h, ids, vocab_size=5, dim=3)
+        grad = embedding_gradient(d_h, ids, vocab_size=5, dim=3).to_dense()
         assert np.array_equal(grad, np.zeros((5, 3)))
 
     def test_single_token_receives_full_gradient(self):
         d_h = np.array([[1.0, 2.0]])
         ids = np.array([[3, PAD_INDEX]])
-        grad = embedding_gradient(d_h, ids, vocab_size=4, dim=2)
+        grad = embedding_gradient(d_h, ids, vocab_size=4, dim=2).to_dense()
         assert np.array_equal(grad[3], [1.0, 2.0])
         assert np.count_nonzero(grad) == 2
 
     def test_mean_denominator_and_duplicates(self):
         d_h = np.array([[6.0]])
         ids = np.array([[1, 1, 2]])
-        grad = embedding_gradient(d_h, ids, vocab_size=3, dim=1)
+        grad = embedding_gradient(d_h, ids, vocab_size=3, dim=1).to_dense()
         assert np.allclose(grad[1], [4.0])  # two shares of 6/3
         assert np.allclose(grad[2], [2.0])
+
+    def test_rows_match_dense_scatter_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            vocab_size = int(rng.integers(2, 30))
+            dim = int(rng.integers(1, 6))
+            batch = int(rng.integers(1, 5))
+            ids = rng.integers(0, vocab_size, size=(batch, int(rng.integers(1, 12))))
+            d_h = rng.normal(size=(batch, dim))
+            grad = embedding_gradient(d_h, ids, vocab_size, dim)
+            assert np.array_equal(grad.to_dense(), dense_scatter(d_h, ids, vocab_size, dim))
+            assert np.array_equal(grad.rows, np.unique(ids[ids != PAD_INDEX]))
 
 
 class TestShapes:

@@ -5,14 +5,16 @@ import random
 
 import numpy as np
 
-from staletodo.model import AdamState, adam_step, clip_gradients, global_norm
+from staletodo.model import AdamState, RowGradient, adam_step, clip_gradients, global_norm
+from staletodo.model.network import embedding_gradient
+from staletodo.model.vocab import PAD_INDEX
 
 
 class TestClipGradients:
     def test_norm_below_limit_unchanged(self):
         grads = [np.array([0.6, 0.8])]  # norm 1.0
         out = clip_gradients(grads, max_norm=2.0)
-        assert np.array_equal(out[0], grads[0])
+        assert out[0] is grads[0]
 
     def test_norm_four_scaled_to_two(self):
         grads = [np.array([4.0, 0.0]), np.array([0.0])]  # norm 4
@@ -39,6 +41,61 @@ class TestClipGradients:
         grads = [np.zeros(3)]
         out = clip_gradients(grads, max_norm=2.0)
         assert np.array_equal(out[0], np.zeros(3))
+
+
+def random_row_gradient(rng, num_rows=50, dim=4, scale=1.0):
+    rows = np.unique(rng.integers(1, num_rows, size=int(rng.integers(0, 12))))
+    return RowGradient(rows, rng.normal(scale=scale, size=(rows.size, dim)), num_rows)
+
+
+class TestRowGradients:
+    def test_global_norm_matches_dense(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            grads = [rng.normal(size=(3, 2))] + [
+                random_row_gradient(rng) for _ in range(rng.integers(1, 4))
+            ]
+            dense = [g.to_dense() if isinstance(g, RowGradient) else g for g in grads]
+            assert math.isclose(global_norm(grads), global_norm(dense), rel_tol=1e-12)
+
+    def test_clipped_row_gradient_matches_dense(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            grads = [rng.normal(size=3), random_row_gradient(rng, scale=5.0)]
+            out = clip_gradients(grads, max_norm=2.0)
+            dense = clip_gradients([grads[0], grads[1].to_dense()], max_norm=2.0)
+            assert isinstance(out[1], RowGradient)
+            assert np.allclose(out[1].to_dense(), dense[1], rtol=1e-12, atol=0.0)
+            assert global_norm(out) <= 2.0 + 1e-9
+
+    def test_adam_matches_dense_adam_bit_for_bit(self):
+        # Row 1 is touched only in the first step and then only decays; rows
+        # 30 and up are never touched; ids repeat within every batch.
+        rng = np.random.default_rng(17)
+        vocab, dim = 40, 6
+        table = rng.uniform(-0.05, 0.05, size=(vocab, dim))
+        weight = rng.normal(size=(dim, 3))
+        sparse = [weight.copy(), table.copy()]
+        dense = [weight.copy(), table.copy()]
+        sparse_state = AdamState.for_params(sparse)
+        dense_state = AdamState.for_params(dense)
+        row_one = []
+        for step in range(30):
+            ids = rng.integers(2, 30, size=(4, 10))
+            ids[rng.random(ids.shape) < 0.2] = PAD_INDEX
+            if step == 0:
+                ids[0, 0] = 1
+            used = ids[ids != PAD_INDEX]
+            assert np.unique(used).size < used.size
+            grad = embedding_gradient(rng.normal(size=(4, dim)), ids, vocab, dim)
+            w_grad = rng.normal(size=weight.shape)
+            adam_step(sparse, [w_grad, grad], sparse_state, lr=0.01)
+            adam_step(dense, [w_grad, grad.to_dense()], dense_state, lr=0.01)
+            assert np.array_equal(sparse[0], dense[0])
+            assert np.array_equal(sparse[1], dense[1])
+            row_one.append(sparse[1][1].copy())
+        assert np.array_equal(sparse[1][30:], table[30:])
+        assert not np.array_equal(row_one[-2], row_one[-1])
 
 
 def reference_adam(params, grad_fn, steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):

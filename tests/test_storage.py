@@ -1,5 +1,6 @@
 """Model container round-trips and the external vector interchange file."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -50,8 +51,13 @@ class TestModelFile:
         for a, b in zip(loaded.mlp.biases, model.mlp.biases):
             assert np.array_equal(a, b)
         assert loaded.config == model.config
-        assert loaded.adam is not None
-        assert loaded.adam.t == model.adam.t
+
+    def test_config_with_hidden_sizes_round_trips(self, trained, tmp_path):
+        model, _ = trained
+        config = dataclasses.replace(model.config, hidden_sizes=(8, 4, 2), dropout_rate=0.5)
+        path = str(tmp_path / "model.npz")
+        save_model(dataclasses.replace(model, config=config), path)
+        assert load_model(path).config == config
 
     def test_loaded_model_predicts_identically(self, trained, tmp_path):
         model, split = trained
