@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import PurePosixPath
 from typing import Iterator, Mapping, Optional
 
 from .diffs import DiffDocument, DiffLine, LineKind, render_lines
@@ -25,6 +26,16 @@ _TODO_TOKEN_RE = re.compile(r"(?<![0-9A-Za-z])todo(?![0-9A-Za-z])", re.IGNORECAS
 class Language(Enum):
     PYTHON = "python"
     JAVA = "java"
+
+
+# A file is lexed by the language its extension maps to, or not at all.
+EXTENSION_LANGUAGES = {".py": Language.PYTHON, ".java": Language.JAVA}
+
+
+def language_for_path(path: Optional[str]) -> Optional[Language]:
+    if not path:
+        return None
+    return EXTENSION_LANGUAGES.get(PurePosixPath(path).suffix.lower())
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,7 @@ def iter_line_comments(text: str, language: Language) -> Iterator[CommentSpan]:
 
 
 def _python_comments(text: str) -> Iterator[CommentSpan]:
-    quote: Optional[str] = None
+    quote: Optional[str] = None  # the delimiter that closes the open string
     i = 0
     n = len(text)
     while i < n:
@@ -71,10 +82,14 @@ def _python_comments(text: str) -> Iterator[CommentSpan]:
             if ch == "\\":
                 i += 2
                 continue
-            if ch == quote:
+            if text.startswith(quote, i):
+                i += len(quote)
                 quote = None
+                continue
         elif ch in ("'", '"'):
-            quote = ch
+            quote = ch * 3 if text.startswith(ch * 3, i) else ch
+            i += len(quote)
+            continue
         elif ch == "#":
             yield CommentSpan(i, n, text[i + 1 :].strip())
             return

@@ -11,19 +11,23 @@ ignored.
 from __future__ import annotations
 
 import json
+import logging
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .comments import (
+    DEFAULT_CONTEXT_LINES,
     CodeChange,
     Language,
     TodoComment,
     associate,
     carve_code_change,
-    extract_comments,
-    find_todos,
+    contains_todo,
+    extract_comments,  # not called here: bench/tracing.py patches this name
+    extract_comments_by_file,
+    language_for_path,
     single_todo_filter,
 )
 from .diffs import (
@@ -35,6 +39,8 @@ from .diffs import (
     normalize_message,
     parse_unified_diff,
 )
+
+log = logging.getLogger(__name__)
 
 MIN_SPLIT_SIZE = 10
 
@@ -147,52 +153,73 @@ def label_triple(
     )
 
 
+def extract_triple(
+    commit: RawCommit,
+    languages: Collection[Language],
+    context_lines: int = DEFAULT_CONTEXT_LINES,
+) -> Union[tuple[TripleSample, TodoComment, str], str, None]:
+    """Run the commit-to-triple pipeline on one commit.
+
+    Only files whose extension maps to one of languages are lexed. Returns
+    the labeled sample with its TODO and the TODO's file path, None when the
+    diff does not mention TODO, or else the name of the BuildCounts field
+    that counts why the commit gave no triple.
+    """
+    if "todo" not in commit.diff_text.lower():
+        return None
+    try:
+        doc = parse_unified_diff(commit.diff_text)
+    except MalformedDiff as exc:
+        log.warning("skipping commit %s: %s", commit.commit_id, exc)
+        return "parse_failures"
+    norm = normalize_diff(doc)
+    if norm is None:
+        return "oversize"
+    file_languages = {
+        i: language
+        for i, (old, new) in enumerate(norm.files)
+        if (language := language_for_path(new or old)) in languages
+    }
+    todo = single_todo_filter([
+        TodoComment(text=text, line=line, language=language)
+        for line, text, language in extract_comments_by_file(norm, file_languages)
+        if contains_todo(text)
+    ])
+    if todo is None:
+        return "no_single_todo"
+    if not associate(todo, norm, context_lines):
+        return "unassociated"
+    cc = carve_code_change(norm, todo)
+    if not cc.rendered.strip():
+        return "empty_change"
+    msg = normalize_message(commit.message)
+    if not msg.text:
+        return "empty_message"
+    sample = label_triple(todo, cc, msg, repo=commit.repo, commit_id=commit.commit_id)
+    if sample is None:
+        return "added_kind"
+    old, new = norm.files[todo.line.file_index]
+    return sample, todo, new or old
+
+
 def build_triples(
     commits: Iterable[RawCommit],
     language: Language,
-    context_lines: int = 3,
+    context_lines: int = DEFAULT_CONTEXT_LINES,
 ) -> tuple[list[TripleSample], BuildCounts]:
-    """Run the full commit-to-triple pipeline, counting every drop."""
+    """Build the corpus of one language, counting every drop."""
     counts = BuildCounts()
     samples: list[TripleSample] = []
-
-    def seen(stream):
-        for commit in stream:
-            counts.commits_seen += 1
-            yield commit
-
-    for commit in identify_todo_commits(seen(commits)):
+    for commit in commits:
+        counts.commits_seen += 1
+        result = extract_triple(commit, (language,), context_lines)
+        if result is None:
+            continue
         counts.todo_commits += 1
-        try:
-            doc = parse_unified_diff(commit.diff_text)
-        except MalformedDiff:
-            counts.parse_failures += 1
-            continue
-        norm = normalize_diff(doc)
-        if norm is None:
-            counts.oversize += 1
-            continue
-        todos = find_todos(extract_comments(norm, language), language)
-        todo = single_todo_filter(todos)
-        if todo is None:
-            counts.no_single_todo += 1
-            continue
-        if not associate(todo, norm, context_lines):
-            counts.unassociated += 1
-            continue
-        cc = carve_code_change(norm, todo)
-        if not cc.rendered.strip():
-            counts.empty_change += 1
-            continue
-        msg = normalize_message(commit.message)
-        if not msg.text:
-            counts.empty_message += 1
-            continue
-        sample = label_triple(todo, cc, msg, repo=commit.repo, commit_id=commit.commit_id)
-        if sample is None:
-            counts.added_kind += 1
-            continue
-        samples.append(sample)
+        if isinstance(result, str):
+            setattr(counts, result, getattr(counts, result) + 1)
+        else:
+            samples.append(result[0])
     return samples, counts
 
 

@@ -32,7 +32,7 @@ class NotARepository(ValueError):
     pass
 
 
-def run_git(repo_path: str, args: list[str]) -> str:
+def run_git(repo_path: str, args: list[str], ok_statuses: tuple[int, ...] = (0,)) -> str:
     try:
         proc = subprocess.run(
             ["git", "-C", repo_path, *args],
@@ -42,7 +42,7 @@ def run_git(repo_path: str, args: list[str]) -> str:
         )
     except FileNotFoundError as exc:
         raise GitUnavailable("git executable not found on PATH") from exc
-    if proc.returncode != 0:
+    if proc.returncode not in ok_statuses:
         raise NotARepository(
             f"git {' '.join(args)} failed in {repo_path}: {proc.stderr.strip()}"
         )

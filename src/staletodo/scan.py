@@ -1,40 +1,43 @@
 """Scanning a live repository for obsolete TODO comments.
 
-Every historical commit is rebuilt into a triple exactly like corpus
-construction, but only context-line TODOs qualify: a TODO that a commit
-resolved while leaving the comment untouched is the obsolete candidate.
-Candidates the classifier marks resolved are then checked against HEAD:
-comments still present are potential obsolete findings, comments some
+Every historical commit is rebuilt into a triple by the extractor that
+builds the corpus, lexing every file whose extension maps to a language,
+but only context-line TODOs qualify: a TODO that a commit resolved while
+leaving the comment untouched is the obsolete candidate. Candidates the
+classifier marks resolved are then checked against HEAD, each in its own
+file: comments still there are potential obsolete findings, comments some
 later commit deleted are intermediate ones.
 """
 
 from __future__ import annotations
 
 import json
-import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import PurePosixPath
 from typing import Callable, Iterable, Optional
 
 from .comments import (
+    EXTENSION_LANGUAGES,  # re-exported
     Language,
     TodoComment,
-    associate,
-    carve_code_change,
-    contains_todo,
-    extract_comments_by_file,
+    associate,  # not called here: bench/tracing.py patches this name
+    carve_code_change,  # not called here: bench/tracing.py patches this name
+    extract_comments_by_file,  # not called here: bench/tracing.py patches this name
     iter_line_comments,
-    single_todo_filter,
+    language_for_path,
 )
-from .corpus import TripleSample, label_triple
-from .diffs import LineKind, MalformedDiff, normalize_diff, normalize_message, parse_unified_diff
+from .corpus import TripleSample, extract_triple
+from .diffs import (
+    LineKind,
+    normalize_diff,  # not called here: bench/tracing.py patches this name
+    parse_unified_diff,  # not called here: bench/tracing.py patches this name
+)
 from .metrics import Status
 from .mining import mine_repository, run_git
 
-log = logging.getLogger(__name__)
-
-EXTENSION_LANGUAGES = {".py": Language.PYTHON, ".java": Language.JAVA}
+# One HEAD hit of `git grep -z -n`: "HEAD:<path>\0<line number>\0<line>\n".
+_GREP_HIT_RE = re.compile(r"HEAD:([^\0]*)\0(\d+)\0([^\n]*)\n")
 
 
 class FindingKind(Enum):
@@ -52,83 +55,41 @@ class ScanFinding:
     classification: FindingKind
 
 
-def language_for_path(path: Optional[str]) -> Optional[Language]:
-    if not path:
-        return None
-    return EXTENSION_LANGUAGES.get(PurePosixPath(path).suffix.lower())
-
-
 def normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    sample: TripleSample
-    file_path: Optional[str]
-    score: float
-
-
 def candidate_triples(
     commits: Iterable, context_lines: int = 3
-) -> list[tuple[TripleSample, TodoComment, Optional[str]]]:
+) -> list[tuple[TripleSample, TodoComment, str]]:
     """Context-line TODO triples from a commit stream, with their file."""
+    languages = tuple(Language)
     out = []
     for commit in commits:
-        if "todo" not in commit.diff_text.lower():
-            continue
-        try:
-            doc = parse_unified_diff(commit.diff_text)
-        except MalformedDiff as exc:
-            log.warning("skipping commit %s: %s", commit.commit_id, exc)
-            continue
-        norm = normalize_diff(doc)
-        if norm is None:
-            continue
-        file_languages = {
-            i: lang
-            for i, (old, new) in enumerate(norm.files)
-            if (lang := language_for_path(new or old)) is not None
-        }
-        comments = extract_comments_by_file(norm, file_languages)
-        todos = [
-            TodoComment(text=text, line=line, language=lang)
-            for line, text, lang in comments
-            if contains_todo(text)
-        ]
-        todo = single_todo_filter(todos)
-        if todo is None or todo.line.kind is not LineKind.CONTEXT:
-            continue
-        if not associate(todo, norm, context_lines):
-            continue
-        cc = carve_code_change(norm, todo)
-        if not cc.rendered.strip():
-            continue
-        msg = normalize_message(commit.message)
-        if not msg.text:
-            continue
-        sample = label_triple(todo, cc, msg, repo=commit.repo, commit_id=commit.commit_id)
-        if sample is None:
-            continue
-        old, new = norm.files[todo.line.file_index]
-        out.append((sample, todo, new or old))
+        result = extract_triple(commit, languages, context_lines)
+        if isinstance(result, tuple) and result[0].todo_line_kind is LineKind.CONTEXT:
+            out.append(result)
     return out
 
 
-def _head_comment_index(repo_path: str) -> dict[str, list[tuple[str, int]]]:
-    """Whitespace-normalized comment text -> [(file, line_no)] at HEAD."""
-    listing = run_git(repo_path, ["ls-tree", "-r", "--name-only", "HEAD"])
-    index: dict[str, list[tuple[str, int]]] = {}
-    for path in listing.splitlines():
+def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
+    """(file, whitespace-normalized comment text) -> first line at HEAD.
+
+    Only lines holding "todo" in any case are read, which loses nothing:
+    every text looked up holds that token. Binary files are skipped.
+    """
+    # git grep exits with 1 when no line matches.
+    output = run_git(
+        repo_path, ["grep", "-z", "-n", "-I", "-i", "-e", "todo", "HEAD"], ok_statuses=(0, 1)
+    )
+    index: dict[tuple[str, str], int] = {}
+    for path, line_no, line in _GREP_HIT_RE.findall(output):
         language = language_for_path(path)
         if language is None:
             continue
-        content = run_git(repo_path, ["show", f"HEAD:{path}"])
-        for line_no, line in enumerate(content.splitlines(), start=1):
-            for span in iter_line_comments(line.lower(), language):
-                key = normalize_ws(span.text)
-                if key:
-                    index.setdefault(key, []).append((path, line_no))
+        for span in iter_line_comments(line.lower(), language):
+            # git grep lists a file's lines in order: the first hit is the lowest.
+            index.setdefault((path, normalize_ws(span.text)), int(line_no))
     return index
 
 
@@ -145,48 +106,37 @@ def scan_repository(
     commits = mine_repository(repo_path)
     triples = candidate_triples(commits, context_lines)
 
-    resolved: dict[str, _Candidate] = {}
+    # (file, text) -> (score, sample): same-text TODOs in two files stay apart.
+    resolved: dict[tuple[str, str], tuple[float, TripleSample]] = {}
     for sample, todo, file_path in triples:
         prediction = predictor(sample)
         status = getattr(prediction, "status", prediction)
         if status is not Status.RESOLVED:
             continue
         score = float(getattr(prediction, "score", 1.0))
-        key = normalize_ws(sample.todo_comment)
-        current = resolved.get(key)
-        if current is None or score > current.score:
-            resolved[key] = _Candidate(sample=sample, file_path=file_path, score=score)
+        key = (file_path, normalize_ws(sample.todo_comment))
+        if key not in resolved or score > resolved[key][0]:
+            resolved[key] = (score, sample)
 
     if not resolved:
         return []
 
-    head_index = _head_comment_index(repo_path)
+    head_index = _head_todo_index(repo_path)
     findings = []
-    for key, candidate in resolved.items():
-        hits = head_index.get(key)
-        if hits:
-            path, line_no = hits[0]
-            findings.append(
-                ScanFinding(
-                    file_path=path,
-                    line_no=line_no,
-                    todo_text=candidate.sample.todo_comment,
-                    commit_id=candidate.sample.commit_id,
-                    score=candidate.score,
-                    classification=FindingKind.POTENTIAL_OBSOLETE,
-                )
+    for key, (score, sample) in resolved.items():
+        line_no = head_index.get(key)
+        findings.append(
+            ScanFinding(
+                file_path=key[0],
+                line_no=line_no,
+                todo_text=sample.todo_comment,
+                commit_id=sample.commit_id,
+                score=score,
+                classification=FindingKind.INTERMEDIATE_OBSOLETE
+                if line_no is None
+                else FindingKind.POTENTIAL_OBSOLETE,
             )
-        else:
-            findings.append(
-                ScanFinding(
-                    file_path=candidate.file_path or "",
-                    line_no=None,
-                    todo_text=candidate.sample.todo_comment,
-                    commit_id=candidate.sample.commit_id,
-                    score=candidate.score,
-                    classification=FindingKind.INTERMEDIATE_OBSOLETE,
-                )
-            )
+        )
     findings.sort(key=lambda f: -f.score)
     return findings
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from staletodo.corpus import Label, TripleSample
-from staletodo.diffs import DiffDocument, DiffLine, LineKind
+from staletodo.diffs import DiffDocument, DiffLine, LineKind, RawCommit
 from staletodo.model import bce_loss, forward, init_mlp, mean_pool, mlp_backward
 from staletodo.model.network import embedding_gradient
 
@@ -122,6 +122,38 @@ def random_sample(rng: random.Random, serial: int = 0) -> TripleSample:
         commit_id=f"r{serial:06d}",
         todo_line_kind=LineKind.REMOVED if label is Label.POSITIVE else LineKind.CONTEXT,
     )
+
+
+def diff_commit(files: dict[str, list[str]], commit_id: str, message: str = "do things.") -> RawCommit:
+    """A commit whose diff has one hunk per file, from marked body lines."""
+    parts = []
+    for path, body in files.items():
+        n_old = sum(1 for line in body if not line.startswith("+"))
+        n_new = sum(1 for line in body if not line.startswith("-"))
+        parts.append(
+            f"diff --git a/{path} b/{path}\n--- a/{path}\n+++ b/{path}\n"
+            f"@@ -1,{n_old} +1,{n_new} @@\n" + "\n".join(body) + "\n"
+        )
+    return RawCommit(commit_id=commit_id, message=message, diff_text="".join(parts), repo="r")
+
+
+# A commit that adds a "#" TODO to a YAML file beside an untouched TODO in a
+# Python file the same commit changes: only the Python TODO is a comment.
+MIXED_LANGUAGE_COMMIT = diff_commit(
+    {
+        "c.py": [" # todo: flush the queue", "+queue.flush()", " queue.open()"],
+        "c.yml": [" name: c", "+# todo: pin the version"],
+    },
+    commit_id="c0ffee1",
+    message="flush the queue.",
+)
+
+# A Python-only commit whose TODO line holds "//", which opens a Java comment.
+PYTHON_ONLY_COMMIT = diff_commit(
+    {"d.py": [" half = n // 2  # todo: round half up", "+half += n % 2", " use(half)"]},
+    commit_id="d0ffee2",
+    message="round half up.",
+)
 
 
 GIT_BASE_ENV = {

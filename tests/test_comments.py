@@ -1,6 +1,11 @@
 """Comment lexing, TODO detection, association and carving."""
 
+import io
 import random
+import tokenize
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_doc, make_line
 from staletodo.comments import (
@@ -45,6 +50,73 @@ class TestPythonLexer:
 
     def test_unterminated_string_swallows_hash(self):
         assert comments_of('s = "open # not comment', Language.PYTHON) == []
+
+    def test_lone_quote_inside_triple_quotes(self):
+        assert comments_of('s = """a"b"""  # c', Language.PYTHON) == ["c"]
+        assert comments_of("s = '''it's''' # todo: d", Language.PYTHON) == ["todo: d"]
+
+
+def _string_literal(quote, pieces):
+    """A literal that closes where it should, or None: outside escape pairs
+    the body holds no closing delimiter and does not end with its quote."""
+    bare = "".join("EE" if piece.startswith("\\") else piece for piece in pieces)
+    if quote in bare or bare.endswith(quote[0]):
+        return None
+    return quote + "".join(pieces) + quote
+
+
+_BODY_PIECES = st.sampled_from(["a", "b", " ", "#", "'", '"', "\\\\", "\\'", '\\"', "\\#"])
+_STRINGS = st.builds(
+    lambda prefix, literal: prefix + literal,
+    st.sampled_from(["", "r", "b", "rb", "u"]),
+    st.builds(
+        _string_literal,
+        st.sampled_from(["'", '"', "'''", '"""']),
+        st.lists(_BODY_PIECES, max_size=8),
+    ).filter(lambda literal: literal is not None),
+)
+_CODE = st.one_of(
+    st.from_regex(r"[a-z_][a-z0-9_]{0,4}", fullmatch=True),
+    st.sampled_from([" ", "  ", "=", "+", "-", "*", ",", ".", ":", ";", "//"]),
+    _STRINGS,
+)
+_COMMENTS = st.builds(
+    lambda text: "#" + text, st.text(alphabet="ab #'\"\\", max_size=10)
+)
+
+
+def _tokenize_comments(line):
+    """(start, end, text) of each comment stdlib tokenize finds; None when
+    tokenize does not accept the line."""
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(line).readline))
+    except (tokenize.TokenError, SyntaxError):
+        return None
+    if any(t.type == tokenize.ERRORTOKEN for t in tokens):
+        return None
+    return [
+        (t.start[1], t.end[1], t.string[1:].strip())
+        for t in tokens
+        if t.type == tokenize.COMMENT
+    ]
+
+
+class TestPythonLexerAgainstTokenize:
+    """The lexer reads one line at a time, so the domain is single lines
+    that tokenize accepts: a string still open at the end of the line is a
+    multi-line string, which the lexer cannot see and tokenize rejects."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_CODE, max_size=8), st.one_of(st.none(), _COMMENTS))
+    def test_same_comments_as_tokenize(self, code, comment):
+        line = "".join(code) + (comment or "")
+        expected = _tokenize_comments(line)
+        assume(expected is not None)
+        found = [
+            (span.start, span.end, span.text)
+            for span in iter_line_comments(line, Language.PYTHON)
+        ]
+        assert found == expected
 
 
 class TestJavaLexer:

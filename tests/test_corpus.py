@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import make_doc, make_sample
+from helpers import MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, make_doc, make_sample
 from staletodo.comments import (
     CodeChange,
     Language,
@@ -346,3 +346,16 @@ class TestBuildTriples:
         assert samples[0].commit_id == "ca11111"
         assert samples[0].todo_comment == "todo: log the message"
         assert samples[0].commit_msg == "log message when sending."
+
+    def test_files_of_other_languages_are_not_lexed(self):
+        samples, counts = build_triples([MIXED_LANGUAGE_COMMIT], Language.PYTHON)
+        assert counts.no_single_todo == 0
+        assert [(s.label, s.todo_comment) for s in samples] == [
+            (Label.NEGATIVE, "todo: flush the queue")
+        ]
+        assert "+# todo: pin the version" in samples[0].code_change.splitlines()
+
+    def test_python_file_not_lexed_as_java(self):
+        samples, counts = build_triples([PYTHON_ONLY_COMMIT], Language.JAVA)
+        assert samples == []
+        assert counts.todo_commits == counts.no_single_todo == 1
