@@ -13,7 +13,6 @@ from .comments import (
     associate,
     carve_code_change,
     extract_comments,
-    find_todos,
     single_todo_filter,
 )
 from .corpus import (
@@ -21,7 +20,6 @@ from .corpus import (
     Label,
     TripleSample,
     build_triples,
-    identify_todo_commits,
     label_triple,
     read_corpus,
     sample_for_manual_check,
@@ -35,7 +33,6 @@ from .diffs import (
     MalformedDiff,
     NormalizedMessage,
     RawCommit,
-    line_scopes,
     normalize_diff,
     normalize_message,
     parse_unified_diff,

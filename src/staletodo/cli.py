@@ -5,13 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import baselines as bl
 from .comments import Language
 from .corpus import (
     SchemaViolation,
     TooFewSamples,
+    TripleSample,
     build_triples,
     corpus_stats,
     read_corpus,
@@ -19,7 +20,7 @@ from .corpus import (
     split_dataset,
     write_corpus,
 )
-from .metrics import evaluate, format_report_table, report_record
+from .metrics import confusion, evaluate, format_report_table, metrics, report_record, status_of
 from .mining import GitUnavailable, NotARepository, mine_repository, read_commits, write_commits
 from .model import (
     ExternalVectorStore,
@@ -27,7 +28,8 @@ from .model import (
     TrainConfig,
     load_model,
     parse_mask,
-    predict,
+    predict,  # not called here: bench/tracing.py patches this name
+    predict_scores,
     save_model,
     train,
 )
@@ -107,6 +109,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_scorer(args) -> Callable[[Sequence[TripleSample]], Sequence[float]]:
+    """predict_scores bound to the --model file (and --vectors if it needs them)."""
+    model = load_model(args.model)
+    store = None
+    if model.config.backend == "external":
+        if not args.vectors:
+            raise ValueError("an external-backend model requires --vectors")
+        store = ExternalVectorStore.read(args.vectors)
+    return lambda samples: predict_scores(samples, model, store)
+
+
 def _cmd_eval(args) -> int:
     samples = read_corpus(args.corpus)
     split = split_dataset(samples, seed=args.seed)
@@ -114,17 +127,11 @@ def _cmd_eval(args) -> int:
     reports = []
 
     if args.model:
-        model = load_model(args.model)
-        store = None
-        if model.config.backend == "external":
-            if not args.vectors:
-                raise ValueError("evaluating an external-backend model requires --vectors")
-            store = ExternalVectorStore.read(args.vectors)
+        statuses = [status_of(score) for score in _load_scorer(args)(test)]
         reports.append(
-            evaluate(
-                lambda s: predict(s, model, store),
-                test,
-                method_name="classifier",
+            metrics(
+                confusion(statuses, [s.label for s in test]),
+                method="classifier",
                 dataset=args.corpus,
             )
         )
@@ -182,13 +189,7 @@ def _sweep_irsc(val, space) -> float:
 
 
 def _cmd_scan(args) -> int:
-    model = load_model(args.model)
-    store = None
-    if model.config.backend == "external":
-        if not args.vectors:
-            raise ValueError("scanning with an external-backend model requires --vectors")
-        store = ExternalVectorStore.read(args.vectors)
-    findings = scan_repository(args.repo, lambda s: predict(s, model, store))
+    findings = scan_repository(args.repo, _load_scorer(args))
     for finding in findings:
         location = (
             f"{finding.file_path}:{finding.line_no}"

@@ -160,15 +160,6 @@ def contains_todo(text: str) -> bool:
     return _TODO_TOKEN_RE.search(text) is not None
 
 
-def find_todos(comments: list[tuple[DiffLine, str]], language: Language = Language.PYTHON) -> list[TodoComment]:
-    """Keep the comments that contain "todo" as a word-delimited token."""
-    return [
-        TodoComment(text=text, line=line, language=language)
-        for line, text in comments
-        if contains_todo(text)
-    ]
-
-
 def single_todo_filter(todos: list[TodoComment]) -> Optional[TodoComment]:
     """Return the TODO iff exactly one exists; otherwise None (skip).
 

@@ -15,7 +15,7 @@ import logging
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Collection, Iterable, Optional, Sequence, TextIO, Union
 
 from .comments import (
     DEFAULT_CONTEXT_LINES,
@@ -121,13 +121,6 @@ class CorpusStats:
     train_size: int
     val_size: int
     test_size: int
-
-
-def identify_todo_commits(commits: Iterable[RawCommit]) -> Iterator[RawCommit]:
-    """Pass exactly the commits whose diff mentions TODO (any case)."""
-    for commit in commits:
-        if "todo" in commit.diff_text.lower():
-            yield commit
 
 
 def label_triple(

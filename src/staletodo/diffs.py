@@ -34,7 +34,13 @@ _HUNK_HEADER_RE = re.compile(
     r"^@@ -(?P<old_start>\d+)(?:,(?P<old_count>\d+))?"
     r" \+(?P<new_start>\d+)(?:,(?P<new_count>\d+))? @@"
 )
-_FILE_HEADER_RE = re.compile(r"^diff --git a/(?P<old>.*) b/(?P<new>.*)$")
+# Each path is a/… and b/…, or the same C-quoted ("a/…" "b/…"), which git
+# writes for names holding control characters, a double quote or a backslash.
+_FILE_HEADER_RE = re.compile(
+    r'^diff --git (?P<old>"a/(?:[^"\\]|\\.)*"|a/.*) (?P<new>"b/(?:[^"\\]|\\.)*"|b/.*)$'
+)
+_C_ESCAPE_RE = re.compile(rb"\\([0-3][0-7]{2}|.)")
+_C_ESCAPES = dict(zip(b"abtnvfr", b"\a\b\t\n\v\f\r"))
 
 
 class MalformedDiff(ValueError):
@@ -117,7 +123,9 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
     remaining_old = 0
     remaining_new = 0
 
-    for line_no, raw in enumerate(diff_text.splitlines(), start=1):
+    # Git ends lines with "\n" only. str.splitlines would also break at
+    # "\r", "\x0c", "\u2028" and others, all of which a source line may hold.
+    for line_no, raw in enumerate(diff_text.removesuffix("\n").split("\n"), start=1):
         in_hunk = remaining_old > 0 or remaining_new > 0
 
         if in_hunk:
@@ -140,7 +148,7 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
         if header:
             file_index += 1
             hunk_index = -1
-            files.append((header.group("old"), header.group("new")))
+            files.append((_header_path(header["old"], "a/"), _header_path(header["new"], "b/")))
             continue
 
         hunk = _HUNK_HEADER_RE.match(raw)
@@ -152,12 +160,10 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
             continue
 
         if raw.startswith("--- ") and file_index >= 0:
-            old = raw[4:].strip()
-            _refine_path(files, file_index, old=old)
+            files[file_index] = (_header_path(raw[4:].strip(), "a/"), files[file_index][1])
             continue
         if raw.startswith("+++ ") and file_index >= 0:
-            new = raw[4:].strip()
-            _refine_path(files, file_index, new=new)
+            files[file_index] = (files[file_index][0], _header_path(raw[4:].strip(), "b/"))
             continue
 
         # index/mode/similarity/binary lines and any leading preamble
@@ -166,18 +172,22 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
     return DiffDocument(lines=tuple(lines), byte_size=byte_size, files=tuple(files))
 
 
-def _refine_path(
-    files: list[tuple[Optional[str], Optional[str]]],
-    file_index: int,
-    old: Optional[str] = None,
-    new: Optional[str] = None,
-) -> None:
-    cur_old, cur_new = files[file_index]
-    if old is not None:
-        cur_old = None if old == "/dev/null" else old[2:] if old.startswith("a/") else old
-    if new is not None:
-        cur_new = None if new == "/dev/null" else new[2:] if new.startswith("b/") else new
-    files[file_index] = (cur_old, cur_new)
+def _header_path(token: str, prefix: str) -> Optional[str]:
+    """A header path without its a/ or b/ prefix and quoting; None for /dev/null."""
+    if token.startswith('"'):
+        token = _unquote_c(token[1:-1])
+    if token == "/dev/null":
+        return None
+    return token[len(prefix) :] if token.startswith(prefix) else token
+
+
+def _unquote_c(text: str) -> str:
+    """Undo git's C-style quoting: backslash escapes and octal UTF-8 bytes."""
+    raw = _C_ESCAPE_RE.sub(
+        lambda m: bytes([int(m[1], 8) if len(m[1]) == 3 else _C_ESCAPES.get(m[1][0], m[1][0])]),
+        text.encode("utf-8", errors="surrogateescape"),
+    )
+    return raw.decode("utf-8", errors="replace")
 
 
 def normalize_diff(doc: DiffDocument) -> Optional[DiffDocument]:
@@ -219,16 +229,6 @@ def normalize_message(message: str) -> NormalizedMessage:
     text = _ISSUE_REF_RE.sub(ISSUE_ID_PLACEHOLDER, text)
     text = _HEX_RUN_RE.sub(COMMIT_ID_PLACEHOLDER, text)
     return NormalizedMessage(text.strip())
-
-
-def line_scopes(
-    doc: DiffDocument,
-) -> tuple[list[DiffLine], list[DiffLine], list[DiffLine]]:
-    """Partition document lines into (added, removed, equal)."""
-    added = [line for line in doc.lines if line.kind is LineKind.ADDED]
-    removed = [line for line in doc.lines if line.kind is LineKind.REMOVED]
-    equal = [line for line in doc.lines if line.kind is LineKind.CONTEXT]
-    return added, removed, equal
 
 
 def render_lines(lines: Iterable[DiffLine]) -> str:

@@ -14,9 +14,16 @@ from typing import Callable, Optional, Sequence
 from .corpus import Label, TripleSample
 
 
+DECISION_THRESHOLD = 0.5  # a classifier score at or above it marks its TODO resolved
+
+
 class Status(Enum):
     RESOLVED = "resolved"
     UNRESOLVED = "unresolved"
+
+
+def status_of(score: float) -> Status:
+    return Status.RESOLVED if score >= DECISION_THRESHOLD else Status.UNRESOLVED
 
 
 class LengthMismatch(ValueError):
@@ -49,13 +56,12 @@ class MetricReport:
     dataset: str = ""
 
 
-def confusion(preds: Sequence[object], labels: Sequence[Label]) -> Confusion:
-    """Count the four outcomes; preds may be Status values or carry .status."""
+def confusion(preds: Sequence[Status], labels: Sequence[Label]) -> Confusion:
+    """Count the four outcomes of predicted statuses against labels."""
     if len(preds) != len(labels):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(labels)} labels")
     tp = tn = fp = fn = 0
-    for pred, label in zip(preds, labels):
-        status = getattr(pred, "status", pred)
+    for status, label in zip(preds, labels):
         if status is Status.RESOLVED:
             if label is Label.POSITIVE:
                 tp += 1
@@ -90,7 +96,7 @@ def metrics(c: Confusion, method: str = "", dataset: str = "") -> MetricReport:
 
 
 def evaluate(
-    method: Callable[[TripleSample], object],
+    method: Callable[[TripleSample], Status],
     test: Sequence[TripleSample],
     method_name: str = "",
     dataset: str = "",

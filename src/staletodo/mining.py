@@ -4,10 +4,13 @@ Consumes the textual ``git log -p --no-color --no-renames -U3`` stream and
 segments it into RawCommits. Messages are the 4-space-indented block, the
 diff is everything from the first "diff --git" to the next commit header.
 Using -U3 pins the three context lines the TODO association step assumes.
+Git output is read as UTF-8 with "\n" as the only line break: a "\r" or a
+form feed inside a source line is content.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
@@ -19,7 +22,8 @@ from .diffs import RawCommit
 
 log = logging.getLogger(__name__)
 
-GIT_LOG_ARGS = ("log", "-p", "--no-color", "--no-renames", "-U3")
+# core.quotePath=false keeps non-ASCII paths unquoted in diff headers.
+GIT_LOG_ARGS = ("-c", "core.quotePath=false", "log", "-p", "--no-color", "--no-renames", "-U3")
 
 _COMMIT_HEADER_RE = re.compile(r"^commit ([0-9a-f]{7,40})\b")
 
@@ -34,19 +38,13 @@ class NotARepository(ValueError):
 
 def run_git(repo_path: str, args: list[str], ok_statuses: tuple[int, ...] = (0,)) -> str:
     try:
-        proc = subprocess.run(
-            ["git", "-C", repo_path, *args],
-            capture_output=True,
-            text=True,
-            errors="replace",
-        )
+        proc = subprocess.run(["git", "-C", repo_path, *args], capture_output=True)
     except FileNotFoundError as exc:
         raise GitUnavailable("git executable not found on PATH") from exc
     if proc.returncode not in ok_statuses:
-        raise NotARepository(
-            f"git {' '.join(args)} failed in {repo_path}: {proc.stderr.strip()}"
-        )
-    return proc.stdout
+        stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+        raise NotARepository(f"git {' '.join(args)} failed in {repo_path}: {stderr}")
+    return proc.stdout.decode("utf-8", errors="replace")
 
 
 def check_repository(repo_path: str) -> None:
@@ -116,17 +114,15 @@ def mine_repository(repo_path: str, repo_name: Optional[str] = None) -> Iterator
             ["git", "-C", repo_path, *GIT_LOG_ARGS],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
-            errors="replace",
         )
     except FileNotFoundError as exc:
         raise GitUnavailable("git executable not found on PATH") from exc
-    assert proc.stdout is not None
+    lines = io.TextIOWrapper(proc.stdout, encoding="utf-8", errors="replace", newline="\n")
     try:
-        yield from iter_log_commits(proc.stdout, repo=name)
+        yield from iter_log_commits(lines, repo=name)
     finally:
-        proc.stdout.close()
-        stderr = proc.stderr.read() if proc.stderr else ""
+        lines.close()
+        stderr = proc.stderr.read().decode("utf-8", errors="replace")
         returncode = proc.wait()
     if returncode != 0 and "does not have any commits" not in stderr:
         if "not a git repository" in stderr.lower():

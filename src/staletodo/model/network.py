@@ -106,12 +106,13 @@ def init_mlp(
 
 
 def mean_pool(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Mean of the embedding rows of non-PAD tokens; zero when all PAD."""
+    """Mean of the embedding rows of non-PAD tokens; zero when all PAD.
+
+    PAD tokens add the PAD row, which is zero and which training never updates.
+    """
     ids = np.atleast_2d(np.asarray(ids))
-    mask = ids != PAD_INDEX
-    counts = np.maximum(mask.sum(axis=1), 1)
-    summed = (table[ids] * mask[:, :, None]).sum(axis=1)
-    return summed / counts[:, None]
+    counts = np.maximum((ids != PAD_INDEX).sum(axis=1), 1)
+    return table[ids].sum(axis=1) / counts[:, None]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

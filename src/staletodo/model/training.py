@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..corpus import DatasetSplit, Label, TripleSample
-from ..metrics import Status, confusion, metrics
+from ..metrics import Status, confusion, metrics, status_of
 from .network import (
     COMPONENT_ORDER,
     Component,
@@ -38,7 +38,9 @@ from .vocab import Vocab, build_vocab, make_vocab
 INTERNAL = "internal"
 EXTERNAL = "external"
 EXTERNAL_DIM = 768
-DECISION_THRESHOLD = 0.5
+# Samples pooled and scored at once: bounds the (chunk, max_len, dim)
+# embedding gather that mean pooling makes.
+SCORE_CHUNK = 64
 
 
 @dataclass
@@ -149,13 +151,13 @@ def _encode_samples(
 
 def _component_vectors(
     encoded: dict[Component, np.ndarray],
-    idx: Optional[np.ndarray],
+    idx: Union[np.ndarray, slice],
     config: TrainConfig,
     encoders: dict[Component, EncoderParams],
 ) -> dict[Component, np.ndarray]:
     vectors = {}
     for component in config.active_components():
-        data = encoded[component] if idx is None else encoded[component][idx]
+        data = encoded[component][idx]
         if config.backend == INTERNAL:
             vectors[component] = mean_pool(data, encoders[component].embedding)
         else:
@@ -174,21 +176,19 @@ def _as_parts(
 
 
 def _scores(
-    samples_encoded: dict[Component, np.ndarray],
+    n: int,
+    encoded: dict[Component, np.ndarray],
     config: TrainConfig,
     encoders: dict[Component, EncoderParams],
     mlp: MlpParams,
 ) -> np.ndarray:
-    vectors = _component_vectors(samples_encoded, None, config, encoders)
-    scores, _ = forward(*_as_parts(vectors), mlp, train_mode=False)
-    return np.atleast_1d(scores)
-
-
-def _val_f1(scores: np.ndarray, labels: Sequence[Label]) -> Optional[float]:
-    statuses = [
-        Status.RESOLVED if s >= DECISION_THRESHOLD else Status.UNRESOLVED for s in scores
-    ]
-    return metrics(confusion(statuses, list(labels))).f1
+    """Dropout-free scores of n encoded samples, SCORE_CHUNK at a time."""
+    scores = np.empty(n)
+    for start in range(0, n, SCORE_CHUNK):
+        chunk = slice(start, start + SCORE_CHUNK)
+        vectors = _component_vectors(encoded, chunk, config, encoders)
+        scores[chunk], _ = forward(*_as_parts(vectors), mlp, train_mode=False)
+    return scores
 
 
 def _snapshot(mlp: MlpParams, encoders: dict[Component, EncoderParams]) -> dict:
@@ -250,8 +250,8 @@ def train(
 
     def validate(epoch: int) -> None:
         nonlocal best_f1, best, last_checkpoint, running_loss, running_batches
-        scores = _scores(val_encoded, config, encoders, mlp)
-        f1 = _val_f1(scores, val_labels)
+        scores = _scores(len(split.val), val_encoded, config, encoders, mlp)
+        f1 = metrics(confusion([status_of(s) for s in scores], val_labels)).f1
         avg_loss = running_loss / running_batches if running_batches else float("nan")
         history.validations.append(
             ValidationPoint(batch=batches_done, epoch=epoch, train_loss=avg_loss, val_f1=f1)
@@ -329,12 +329,17 @@ def predict_scores(
     model: ModelParams,
     store: Optional[ExternalVectorStore] = None,
 ) -> np.ndarray:
-    """Dropout-free scores for a batch of samples."""
+    """Dropout-free scores for a batch of samples: the one scoring path.
+
+    A sample is resolved iff its score reaches metrics.DECISION_THRESHOLD.
+    """
     config = model.config
     if config.backend == EXTERNAL and store is None:
         raise ValueError("external backend requires a vector store")
+    if not samples:
+        return np.empty(0)
     encoded = _encode_samples(samples, config, model.vocab, store)
-    return _scores(encoded, config, model.encoders, model.mlp)
+    return _scores(len(samples), encoded, config, model.encoders, model.mlp)
 
 
 def predict(
@@ -342,7 +347,6 @@ def predict(
     model: ModelParams,
     store: Optional[ExternalVectorStore] = None,
 ) -> Prediction:
-    """Score one sample; resolved iff the score reaches 0.5."""
+    """Score one sample through predict_scores."""
     score = float(predict_scores([sample], model, store)[0])
-    status = Status.RESOLVED if score >= DECISION_THRESHOLD else Status.UNRESOLVED
-    return Prediction(score=score, status=status, sample=sample)
+    return Prediction(score=score, status=status_of(score), sample=sample)

@@ -3,10 +3,11 @@
 Every historical commit is rebuilt into a triple by the extractor that
 builds the corpus, lexing every file whose extension maps to a language,
 but only context-line TODOs qualify: a TODO that a commit resolved while
-leaving the comment untouched is the obsolete candidate. Candidates the
-classifier marks resolved are then checked against HEAD, each in its own
-file: comments still there are potential obsolete findings, comments some
-later commit deleted are intermediate ones.
+leaving the comment untouched is the obsolete candidate. All candidates
+are scored in one call, and those scoring at least DECISION_THRESHOLD are
+then checked against HEAD, each in its own file: comments still there are
+potential obsolete findings, comments some later commit deleted are
+intermediate ones.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .comments import (
     EXTENSION_LANGUAGES,  # re-exported
@@ -33,7 +34,7 @@ from .diffs import (
     normalize_diff,  # not called here: bench/tracing.py patches this name
     parse_unified_diff,  # not called here: bench/tracing.py patches this name
 )
-from .metrics import Status
+from .metrics import DECISION_THRESHOLD
 from .mining import mine_repository, run_git
 
 # One HEAD hit of `git grep -z -n`: "HEAD:<path>\0<line number>\0<line>\n".
@@ -95,35 +96,34 @@ def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
 
 def scan_repository(
     repo_path: str,
-    predictor: Callable[[TripleSample], object],
+    score: Callable[[Sequence[TripleSample]], Sequence[float]],
     context_lines: int = 3,
 ) -> list[ScanFinding]:
     """Find TODO comments some commit resolved but nobody removed.
 
-    predictor maps a TripleSample to a Prediction (or anything with score
-    and status attributes). The scan never writes to the repository.
+    score maps a batch of samples to one classifier score each, such as
+    model.predict_scores with the model bound. The scan never writes to the
+    repository.
     """
     commits = mine_repository(repo_path)
     triples = candidate_triples(commits, context_lines)
+    scores = score([sample for sample, _, _ in triples])
 
     # (file, text) -> (score, sample): same-text TODOs in two files stay apart.
     resolved: dict[tuple[str, str], tuple[float, TripleSample]] = {}
-    for sample, todo, file_path in triples:
-        prediction = predictor(sample)
-        status = getattr(prediction, "status", prediction)
-        if status is not Status.RESOLVED:
+    for (sample, _, file_path), value in zip(triples, map(float, scores), strict=True):
+        if value < DECISION_THRESHOLD:
             continue
-        score = float(getattr(prediction, "score", 1.0))
         key = (file_path, normalize_ws(sample.todo_comment))
-        if key not in resolved or score > resolved[key][0]:
-            resolved[key] = (score, sample)
+        if key not in resolved or value > resolved[key][0]:
+            resolved[key] = (value, sample)
 
     if not resolved:
         return []
 
     head_index = _head_todo_index(repo_path)
     findings = []
-    for key, (score, sample) in resolved.items():
+    for key, (value, sample) in resolved.items():
         line_no = head_index.get(key)
         findings.append(
             ScanFinding(
@@ -131,7 +131,7 @@ def scan_repository(
                 line_no=line_no,
                 todo_text=sample.todo_comment,
                 commit_id=sample.commit_id,
-                score=score,
+                score=value,
                 classification=FindingKind.INTERMEDIATE_OBSOLETE
                 if line_no is None
                 else FindingKind.POTENTIAL_OBSOLETE,

@@ -12,6 +12,7 @@ from staletodo.corpus import Label, TripleSample
 from staletodo.diffs import DiffDocument, DiffLine, LineKind, RawCommit
 from staletodo.model import bce_loss, forward, init_mlp, mean_pool, mlp_backward
 from staletodo.model.network import embedding_gradient
+from staletodo.model.vocab import PAD_INDEX
 
 KIND_BY_CHAR = {"+": LineKind.ADDED, "-": LineKind.REMOVED, " ": LineKind.CONTEXT}
 
@@ -208,6 +209,8 @@ def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
     max_len = 5
 
     tables = [rng.uniform(-0.5, 0.5, size=(vocab_size, dim)) for _ in range(3)]
+    for table in tables:
+        table[PAD_INDEX] = 0.0  # as init_encoder leaves it; training never moves it
     ids = [rng.integers(0, vocab_size, size=(batch, max_len)) for _ in range(3)]
     mlp = init_mlp(rng, dim * 3, hidden, dropout_rate=0.0)
     # zero-init biases would park ReLU preactivations exactly on the kink
@@ -229,8 +232,9 @@ def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
         ).to_dense()
         for i in range(3)
     ]
-    params = list(mlp.weights) + list(mlp.biases) + tables
-    analytic = list(grads.mlp_w) + list(grads.mlp_b) + emb_grads
+    # The PAD row (row 0) is not a parameter: views of the other rows only.
+    params = list(mlp.weights) + list(mlp.biases) + [t[PAD_INDEX + 1 :] for t in tables]
+    analytic = list(grads.mlp_w) + list(grads.mlp_b) + [g[PAD_INDEX + 1 :] for g in emb_grads]
 
     worst = 0.0
     for p, g in zip(params, analytic):

@@ -13,8 +13,8 @@ from staletodo.comments import (
     TodoComment,
     associate,
     carve_code_change,
+    contains_todo,
     extract_comments,
-    find_todos,
     iter_line_comments,
     single_todo_filter,
 )
@@ -23,6 +23,15 @@ from staletodo.diffs import LineKind, normalize_diff, parse_unified_diff
 
 def comments_of(text, language):
     return [span.text for span in iter_line_comments(text, language)]
+
+
+def python_todos(doc):
+    """The TODO comments of a document, found as corpus.extract_triple finds them."""
+    return [
+        TodoComment(text=text, line=line, language=Language.PYTHON)
+        for line, text in extract_comments(doc, Language.PYTHON)
+        if contains_todo(text)
+    ]
 
 
 class TestPythonLexer:
@@ -169,26 +178,26 @@ class TestExtractComments:
 class TestFindTodos:
     def test_kept(self):
         doc = make_doc([(" ", "# todo: restore this")])
-        todos = find_todos(extract_comments(doc, Language.PYTHON), Language.PYTHON)
+        todos = python_todos(doc)
         assert len(todos) == 1
         assert todos[0].text == "todo: restore this"
 
     def test_not_word_delimited_dropped(self):
         doc = make_doc([(" ", "# method todos list")])
-        assert find_todos(extract_comments(doc, Language.PYTHON), Language.PYTHON) == []
+        assert python_todos(doc) == []
 
     def test_other_satd_markers_dropped(self):
         doc = make_doc([(" ", "# fixme later")])
-        assert find_todos(extract_comments(doc, Language.PYTHON), Language.PYTHON) == []
+        assert python_todos(doc) == []
 
     def test_punctuation_boundaries_count(self):
         doc = make_doc([(" ", "# todo:x"), (" ", "# (todo) y"), (" ", "# todo_z")])
-        todos = find_todos(extract_comments(doc, Language.PYTHON), Language.PYTHON)
+        todos = python_todos(doc)
         assert [t.text for t in todos] == ["todo:x", "(todo) y", "todo_z"]
 
     def test_no_marker_leakage(self):
         doc = make_doc([("-", "# todo - restore this"), ("+", "restored()")])
-        todos = find_todos(extract_comments(doc, Language.PYTHON), Language.PYTHON)
+        todos = python_todos(doc)
         assert todos[0].text == "todo - restore this"
         assert not todos[0].text.startswith(("+", "-"))
 
@@ -316,8 +325,7 @@ class TestCarveCodeChange:
             " dispatch(msg)\n"
         )
         doc = normalize_diff(parse_unified_diff(diff))
-        todos = find_todos(extract_comments(doc, Language.PYTHON), Language.PYTHON)
-        todo = single_todo_filter(todos)
+        todo = single_todo_filter(python_todos(doc))
         assert todo.text == "todo: log the message"
         assert todo.line.kind is LineKind.REMOVED
         cc = carve_code_change(doc, todo)

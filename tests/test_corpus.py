@@ -6,15 +6,7 @@ import random
 import pytest
 
 from helpers import MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, make_doc, make_sample
-from staletodo.comments import (
-    CodeChange,
-    Language,
-    TodoComment,
-    carve_code_change,
-    extract_comments,
-    find_todos,
-    single_todo_filter,
-)
+from staletodo.comments import CodeChange, Language, TodoComment
 from staletodo.corpus import (
     Insufficient,
     Label,
@@ -23,7 +15,7 @@ from staletodo.corpus import (
     TripleSample,
     build_triples,
     corpus_stats,
-    identify_todo_commits,
+    extract_triple,
     label_triple,
     read_corpus,
     render_manual_check_report,
@@ -32,14 +24,7 @@ from staletodo.corpus import (
     split_dataset,
     write_corpus,
 )
-from staletodo.diffs import (
-    LineKind,
-    NormalizedMessage,
-    RawCommit,
-    normalize_diff,
-    normalize_message,
-    parse_unified_diff,
-)
+from staletodo.diffs import LineKind, NormalizedMessage, RawCommit
 
 
 def commit_with_diff(body_lines, commit_id="abc1234", message="do things."):
@@ -55,19 +40,21 @@ def commit_with_diff(body_lines, commit_id="abc1234", message="do things."):
     return RawCommit(commit_id=commit_id, message=message, diff_text=diff, repo="r")
 
 
+def mentions_todo(commit):
+    """extract_triple returns None exactly when the diff does not mention TODO."""
+    return extract_triple(commit, (Language.PYTHON,)) is not None
+
+
 class TestIdentifyTodoCommits:
     def test_kept_when_todo_present(self):
-        commit = commit_with_diff(["+ # TODO: fix"])
-        assert list(identify_todo_commits([commit])) == [commit]
+        assert mentions_todo(commit_with_diff(["+ # TODO: fix"]))
 
     def test_dropped_without_todo(self):
-        commit = commit_with_diff(["+ x = 1"])
-        assert list(identify_todo_commits([commit])) == []
+        assert not mentions_todo(commit_with_diff(["+ x = 1"]))
 
     def test_case_insensitive(self):
         for word in ("todo", "ToDo", "TODO"):
-            commit = commit_with_diff([f"+ # {word} thing"])
-            assert list(identify_todo_commits([commit])) == [commit]
+            assert mentions_todo(commit_with_diff([f"+ # {word} thing"]))
 
     def test_seeded_subset_passes_exactly(self):
         rng = random.Random(23)
@@ -76,42 +63,33 @@ class TestIdentifyTodoCommits:
         for i in range(100):
             line = "+ # TODO: item" if i in seeded else "+ x = 1"
             commits.append(commit_with_diff([line], commit_id=f"c{i:07d}"))
-        kept = list(identify_todo_commits(commits))
+        kept = [commit for commit in commits if mentions_todo(commit)]
         assert {c.commit_id for c in kept} == {f"c{i:07d}" for i in sorted(seeded)}
         assert len(kept) == 37
 
 
-def _triple_parts(diff_lines, language=Language.PYTHON):
-    commit = commit_with_diff(diff_lines)
-    doc = normalize_diff(parse_unified_diff(commit.diff_text))
-    todo = single_todo_filter(find_todos(extract_comments(doc, language), language))
-    cc = carve_code_change(doc, todo)
-    msg = normalize_message(commit.message)
-    return todo, cc, msg
+def _triple(diff_lines, language=Language.PYTHON):
+    return extract_triple(commit_with_diff(diff_lines), (language,))
 
 
 class TestLabelTriple:
     def test_removed_todo_is_positive(self):
-        todo, cc, msg = _triple_parts(
+        sample, _, _ = _triple(
             [" def send(msg):", "-    # TODO: log the message", "+    logging.info(msg)", " dispatch(msg)"]
         )
-        sample = label_triple(todo, cc, msg, repo="r", commit_id="c1")
         assert sample.label is Label.POSITIVE
         assert sample.todo_line_kind is LineKind.REMOVED
 
     def test_context_todo_is_negative(self):
-        todo, cc, msg = _triple_parts(
+        sample, _, _ = _triple(
             [" # TODO: evict stale entries", "+prune(entries)", " def get(key):"]
         )
-        sample = label_triple(todo, cc, msg)
         assert sample.label is Label.NEGATIVE
         assert sample.todo_line_kind is LineKind.CONTEXT
 
     def test_added_todo_is_ignored(self):
-        todo, cc, msg = _triple_parts(
-            ["+    # TODO: handle errors", "+    risky()", " def run():"]
-        )
-        assert label_triple(todo, cc, msg) is None
+        # "added_kind" is the drop that counts a first-time TODO.
+        assert _triple(["+    # TODO: handle errors", "+    risky()", " def run():"]) == "added_kind"
 
     def test_totality_over_kinds(self):
         for kind in LineKind:

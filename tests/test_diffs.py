@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,6 @@ from staletodo.diffs import (
     DiffDocument,
     LineKind,
     MalformedDiff,
-    line_scopes,
     normalize_diff,
     normalize_message,
     parse_unified_diff,
@@ -61,8 +61,8 @@ def marker_count_oracle(diff_text):
 
 
 def kind_counts(doc):
-    added, removed, equal = line_scopes(doc)
-    return len(added), len(removed), len(equal)
+    counts = Counter(line.kind for line in doc.lines)
+    return counts[LineKind.ADDED], counts[LineKind.REMOVED], counts[LineKind.CONTEXT]
 
 
 class TestParse:
@@ -198,6 +198,34 @@ class TestParse:
         assert doc.lines[1].kind is LineKind.CONTEXT
         assert doc.lines[1].text == ""
 
+    def test_only_newline_breaks_a_line(self):
+        body = ["x = 1\x0c# todo: fix", 'z = "a\rb"', "u\u2028v\x0bw\x1cx\x85y", "crlf\r"]
+        diff = "diff --git a/f.py b/f.py\n--- a/f.py\n+++ b/f.py\n@@ -1,4 +1,4 @@\n" + "".join(
+            f" {text}\n" for text in body
+        )
+        doc = parse_unified_diff(diff)
+        assert [line.text for line in doc.lines] == body
+
+    def test_c_quoted_paths_unquoted(self):
+        quoted = '\\303\\251 q\\"\\\\.py'  # é q"\.py as git quotes it
+        diff = (
+            'diff --git "a/ta\\tb.py" "b/ta\\tb.py"\n'
+            "new file mode 100644\n"
+            "--- /dev/null\n"
+            '+++ "b/ta\\tb.py"\n'
+            "@@ -0,0 +1 @@\n"
+            "+x\n"
+            f'diff --git "a/{quoted}" "b/{quoted}"\n'
+            f'--- "a/{quoted}"\n'
+            f'+++ "b/{quoted}"\n'
+            "@@ -1 +1 @@\n"
+            "-y\n"
+            "+z\n"
+        )
+        doc = parse_unified_diff(diff)
+        assert doc.files == ((None, "ta\tb.py"), ('é q"\\.py', 'é q"\\.py'))
+        assert [line.file_index for line in doc.lines] == [0, 1, 1]
+
 
 class TestNormalizeDiff:
     def test_lowercases_text(self):
@@ -297,23 +325,6 @@ class TestNormalizeMessage:
 
 
 class TestLineScopes:
-    def test_empty_document(self):
-        assert line_scopes(make_doc([])) == ([], [], [])
-
-    def test_partition_sizes(self):
-        doc = make_doc([("+", "a"), ("-", "b"), (" ", "c"), ("+", "d")])
-        added, removed, equal = line_scopes(doc)
-        assert (len(added), len(removed), len(equal)) == (2, 1, 1)
-
     def test_fixture_partition_matches_oracle(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
         assert kind_counts(doc) == marker_count_oracle(FIXTURE_DIFF)
-
-    def test_partition_property_random_docs(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            specs = [(rng.choice("+- "), "t") for _ in range(rng.randint(0, 20))]
-            doc = make_doc(specs)
-            added, removed, equal = line_scopes(doc)
-            assert len(added) + len(removed) + len(equal) == len(doc.lines)
-            assert set(added + removed + equal) == set(doc.lines)

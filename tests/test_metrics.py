@@ -58,14 +58,6 @@ class TestConfusion:
         with pytest.raises(LengthMismatch):
             confusion([Status.RESOLVED], [])
 
-    def test_accepts_objects_with_status(self):
-        class Pred:
-            def __init__(self, status):
-                self.status = status
-
-        c = confusion([Pred(Status.RESOLVED)], [Label.POSITIVE])
-        assert c.tp == 1
-
 
 class TestMetrics:
     def test_symmetric_quarter_case(self):

@@ -2,13 +2,14 @@
 
 import pytest
 
-from helpers import git
+from helpers import commit_all, git, init_repo
 from staletodo.diffs import parse_unified_diff
 from staletodo.mining import (
     NotARepository,
     iter_log_commits,
     mine_repository,
     read_commits,
+    run_git,
     write_commits,
 )
 
@@ -61,6 +62,26 @@ class TestMineRepository:
 
         repo = init_repo(tmp_path / "empty_repo")
         assert list(mine_repository(repo)) == []
+
+
+class TestLineBreaks:
+    """Git ends lines with "\\n" only; "\\r" and form feeds are line content."""
+
+    CONTENT = 'z = "a\rb"\nx = 1\x0c# todo: fix\ncrlf = 1\r\n'
+
+    def repo(self, tmp_path):
+        repo = init_repo(tmp_path / "repo")
+        (repo / "f.py").write_bytes(self.CONTENT.encode())
+        commit_all(repo, "add f", 1)
+        return repo
+
+    def test_mined_diff_keeps_lines_whole(self, tmp_path):
+        (commit,) = mine_repository(self.repo(tmp_path))
+        doc = parse_unified_diff(commit.diff_text)
+        assert [line.text for line in doc.lines] == self.CONTENT.split("\n")[:-1]
+
+    def test_run_git_keeps_lines_whole(self, tmp_path):
+        assert run_git(str(self.repo(tmp_path)), ["show", "HEAD:f.py"]) == self.CONTENT
 
 
 class TestLogSegmentation:

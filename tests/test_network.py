@@ -53,14 +53,21 @@ def dense_scatter(d_h, ids, vocab_size, dim):
     return grad
 
 
+def pad_zero_table(rows, dim):
+    """A table as the model holds one: the PAD row is zero."""
+    table = np.arange(float(rows * dim)).reshape(rows, dim)
+    table[PAD_INDEX] = 0.0
+    return table
+
+
 class TestMeanPool:
     def test_all_pad_gives_zero_vector(self):
-        table = np.arange(20.0).reshape(5, 4)
+        table = pad_zero_table(5, 4)
         ids = np.full((1, 6), PAD_INDEX)
         assert np.array_equal(mean_pool(ids, table)[0], np.zeros(4))
 
     def test_single_token_is_its_row(self):
-        table = np.arange(20.0).reshape(5, 4)
+        table = pad_zero_table(5, 4)
         ids = np.array([[3, PAD_INDEX, PAD_INDEX]])
         assert np.array_equal(mean_pool(ids, table)[0], table[3])
 
@@ -74,6 +81,21 @@ class TestMeanPool:
         table = np.array([[0.0], [3.0], [9.0]])
         ids = np.array([[1, 1, 2]])
         assert np.allclose(mean_pool(ids, table)[0], [(3.0 + 3.0 + 9.0) / 3])
+
+    def test_bit_equal_to_masked_formula(self):
+        def masked_mean_pool(ids, table):
+            mask = ids != PAD_INDEX
+            counts = np.maximum(mask.sum(axis=1), 1)
+            return (table[ids] * mask[:, :, None]).sum(axis=1) / counts[:, None]
+
+        rng = np.random.default_rng(8)
+        table = init_encoder(rng, 300, 16).embedding
+        table[PAD_INDEX + 1 :] *= rng.normal(size=(299, 16)) * 100
+        ids = rng.integers(0, 300, size=(64, 50))
+        for row, length in enumerate(rng.integers(0, 51, size=64)):
+            ids[row, length:] = PAD_INDEX  # row lengths 0..50, some all PAD
+        ids[0] = PAD_INDEX
+        assert mean_pool(ids, table).tobytes() == masked_mean_pool(ids, table).tobytes()
 
 
 class TestForward:

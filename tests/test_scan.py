@@ -12,7 +12,6 @@ from helpers import (
     init_repo,
 )
 from staletodo.comments import Language, contains_todo, iter_line_comments
-from staletodo.metrics import Status
 from staletodo.mining import NotARepository, mine_repository
 from staletodo.scan import (
     FindingKind,
@@ -26,12 +25,12 @@ from staletodo.scan import (
 )
 
 
-def always_resolved(sample):
-    return Status.RESOLVED
+def always_resolved(samples):
+    return [1.0] * len(samples)
 
 
-def never_resolved(sample):
-    return Status.UNRESOLVED
+def never_resolved(samples):
+    return [0.0] * len(samples)
 
 
 class TestCandidateTriples:
@@ -61,6 +60,40 @@ class TestCandidateTriples:
         assert [(s.todo_comment, todo.language, path) for s, todo, path in triples] == [
             ("todo: round half up", Language.PYTHON, "d.py")
         ]
+
+    def test_paths_git_quotes_give_candidates(self, tmp_path):
+        # git C-quotes the tab, '"' and '\\' names even with core.quotePath off.
+        names = ["é.py", "ta\tb.py", 'q"x\\y.py']
+        repo = init_repo(tmp_path / "repo")
+        for name in names:
+            (repo / name).write_text("def f():\n    # todo: flush the queue\n    queue.open()\n")
+        commit_all(repo, "add files", 1)
+        for serial, name in enumerate(names, start=2):
+            (repo / name).write_text(
+                "def f():\n    # todo: flush the queue\n    queue.flush()\n    queue.open()\n"
+            )
+            commit_all(repo, "flush the queue.", serial)
+
+        triples = candidate_triples(mine_repository(repo))
+        assert sorted(path for _, _, path in triples) == sorted(names)
+        findings = scan_repository(repo, always_resolved)
+        assert sorted((f.file_path, f.line_no) for f in findings) == sorted(
+            (name, 2) for name in names
+        )
+
+    def test_form_feed_and_carriage_return_stay_inside_their_line(self, tmp_path):
+        repo = init_repo(tmp_path / "repo")
+        before = 'z = "a\rb"\nx = 1\x0c# todo: fix the form\ny = 2\n'
+        (repo / "f.py").write_bytes(before.encode())
+        commit_all(repo, "add f", 1)
+        (repo / "f.py").write_bytes(before.replace("y = 2", "y = 3").encode())
+        commit_all(repo, "bump y.", 2)
+
+        triples = candidate_triples(mine_repository(repo))
+        assert [(s.todo_comment, path) for s, _, path in triples] == [
+            ("todo: fix the form", "f.py")
+        ]
+        assert ' z = "a\rb"' in triples[0][0].code_change.split("\n")
 
 
 class TestScanRepository:
@@ -99,12 +132,10 @@ class TestScanRepository:
     def test_findings_sorted_by_score(self, scan_repo):
         scores = {"todo: flush the queue": 0.7, "todo: retry the socket": 0.95}
 
-        class Pred:
-            def __init__(self, sample):
-                self.status = Status.RESOLVED
-                self.score = scores[sample.todo_comment]
+        def score(samples):
+            return [scores[sample.todo_comment] for sample in samples]
 
-        findings = scan_repository(scan_repo, Pred)
+        findings = scan_repository(scan_repo, score)
         assert [f.score for f in findings] == sorted(
             (f.score for f in findings), reverse=True
         )
@@ -116,6 +147,44 @@ class TestScanRepository:
         known_ids = {c.commit_id for c in commits}
         for finding in findings:
             assert finding.commit_id in known_ids
+
+    def test_every_candidate_scored_in_one_call(self, scan_repo):
+        batches = []
+
+        def score(samples):
+            batches.append(list(samples))
+            return always_resolved(samples)
+
+        scan_repository(scan_repo, score)
+        expected = [sample for sample, _, _ in candidate_triples(mine_repository(scan_repo))]
+        assert batches == [expected]
+
+    def test_shared_key_takes_the_candidate_that_reaches_the_threshold(self, tmp_path):
+        repo = init_repo(tmp_path / "repo")
+        (repo / "a.py").write_text("def fill():\n    # todo: flush the queue\n    queue.open()\n")
+        commit_all(repo, "add fill", 1)
+        (repo / "a.py").write_text(
+            "def fill():\n    # todo: flush the queue\n    queue.open()\n    queue.close()\n"
+        )
+        first = commit_all(repo, "close the queue.", 2)
+        (repo / "a.py").write_text(
+            "def fill():\n    # todo: flush the queue\n    queue.flush()\n"
+            "    queue.open()\n    queue.close()\n"
+        )
+        second = commit_all(repo, "flush the queue.", 3)
+        candidates = candidate_triples(mine_repository(repo))
+        assert sorted((s.commit_id, path) for s, _, path in candidates) == sorted(
+            [(first, "a.py"), (second, "a.py")]
+        )
+
+        for below, reaching in ((first, second), (second, first)):
+            scores = {below: 0.49, reaching: 0.5}
+            findings = scan_repository(
+                repo, lambda samples: [scores[s.commit_id] for s in samples]
+            )
+            assert [(f.file_path, f.line_no, f.commit_id, f.score) for f in findings] == [
+                ("a.py", 2, reaching, 0.5)
+            ]
 
 
 def same_text_repo(path, delete_later):

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import make_sample, make_separable_corpus
 from staletodo.corpus import DatasetSplit, Label, split_dataset
-from staletodo.metrics import Status
+from staletodo.metrics import Status, status_of
 from staletodo.model import (
     ExternalVectorStore,
     TrainConfig,
@@ -15,7 +15,8 @@ from staletodo.model import (
     train,
 )
 from staletodo.model.network import Component
-from staletodo.model.training import parse_mask
+from staletodo.model.training import SCORE_CHUNK, parse_mask
+from staletodo.model.vocab import PAD_INDEX
 
 
 def accuracy(samples, model, store=None):
@@ -82,6 +83,15 @@ class TestLearning:
             if (-1.0 if v.val_f1 is None else v.val_f1) == best_f1
         )
         assert history.best_batch == first_best
+
+    def test_pad_rows_stay_exactly_zero(self):
+        # mean_pool sums PAD tokens with the rest, relying on this.
+        split = toy_split(20)
+        model, history = train(split, TrainConfig(max_epochs=30, **FAST_CONFIG))
+        assert history.final_batch > 0
+        for encoder in model.encoders.values():
+            pad_row = encoder.embedding[PAD_INDEX]
+            assert pad_row.tobytes() == np.zeros_like(pad_row).tobytes()
 
 
 class TestDeterminism:
@@ -214,6 +224,17 @@ class TestPredict:
         prediction = predict(make_sample(), model)
         assert prediction.score == 0.5
         assert prediction.status is Status.RESOLVED
+
+    def test_batched_scores_match_per_sample_predict(self):
+        model, _ = self._model()
+        samples = make_separable_corpus(130, seed=4)
+        assert 2 * SCORE_CHUNK < len(samples) <= 3 * SCORE_CHUNK
+        scores = predict_scores(samples, model)
+        assert scores.shape == (130,)
+        for sample, score in zip(samples, scores):
+            prediction = predict(sample, model)
+            assert prediction.status is status_of(score)
+            assert abs(prediction.score - score) <= 1e-15
 
     def test_predict_pure_function(self):
         model, split = self._model()
