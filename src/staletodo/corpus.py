@@ -15,7 +15,7 @@ import logging
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Optional, Sequence, TextIO, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .comments import (
     DEFAULT_CONTEXT_LINES,
@@ -261,39 +261,27 @@ def render_stats(stats: CorpusStats) -> str:
     return "\n".join(f"{name:<{width}}  {value:,}" for name, value in rows)
 
 
-_FIELDS = (
-    "repo",
-    "commit_id",
-    "todo_comment",
-    "code_change",
-    "commit_msg",
-    "label",
-    "todo_line_kind",
-)
+# Record fields in file order, each with the enum its value is stored by,
+# or None for text.
+_FIELDS: dict[str, Optional[type[Enum]]] = {
+    "repo": None,
+    "commit_id": None,
+    "todo_comment": None,
+    "code_change": None,
+    "commit_msg": None,
+    "label": Label,
+    "todo_line_kind": LineKind,
+}
 
 
 def write_corpus(samples: Iterable[TripleSample], path: str) -> int:
     """Write newline-delimited records; returns the record count."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        count = write_corpus_stream(samples, fh)
-    return count
-
-
-def write_corpus_stream(samples: Iterable[TripleSample], fh: TextIO) -> int:
-    count = 0
-    for sample in samples:
-        record = {
-            "repo": sample.repo,
-            "commit_id": sample.commit_id,
-            "todo_comment": sample.todo_comment,
-            "code_change": sample.code_change,
-            "commit_msg": sample.commit_msg,
-            "label": sample.label.value,
-            "todo_line_kind": sample.todo_line_kind.value,
-        }
-        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        count += 1
+        for sample in samples:
+            record = {name: getattr(sample, name) for name in _FIELDS}
+            fh.write(json.dumps(record, ensure_ascii=False, default=lambda e: e.value) + "\n")
+            count += 1
     return count
 
 
@@ -318,15 +306,10 @@ def read_corpus(path: str) -> list[TripleSample]:
             if missing:
                 raise SchemaViolation(line_no, f"missing fields: {', '.join(missing)}")
             try:
-                sample = TripleSample(
-                    code_change=record["code_change"],
-                    todo_comment=record["todo_comment"],
-                    commit_msg=record["commit_msg"],
-                    label=Label(record["label"]),
-                    repo=record["repo"],
-                    commit_id=record["commit_id"],
-                    todo_line_kind=LineKind(record["todo_line_kind"]),
-                )
+                sample = TripleSample(**{
+                    name: enum(record[name]) if enum else record[name]
+                    for name, enum in _FIELDS.items()
+                })
             except ValueError as exc:
                 raise SchemaViolation(line_no, str(exc)) from exc
             samples.append(sample)

@@ -9,9 +9,9 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,14 +61,6 @@ class MlpParams:
 class Gradients:
     mlp_w: list[np.ndarray]
     mlp_b: list[np.ndarray]
-    emb: dict[Component, RowGradient] = field(default_factory=dict)
-
-    def arrays(self) -> list[Union[np.ndarray, RowGradient]]:
-        out = list(self.mlp_w) + list(self.mlp_b)
-        for component in COMPONENT_ORDER:
-            if component in self.emb:
-                out.append(self.emb[component])
-        return out
 
 
 def default_hidden_sizes(dim: int) -> tuple[int, int, int]:

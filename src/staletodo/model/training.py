@@ -152,14 +152,13 @@ def _encode_samples(
 def _component_vectors(
     encoded: dict[Component, np.ndarray],
     idx: Union[np.ndarray, slice],
-    config: TrainConfig,
-    encoders: dict[Component, EncoderParams],
+    model: ModelParams,
 ) -> dict[Component, np.ndarray]:
     vectors = {}
-    for component in config.active_components():
+    for component in model.config.active_components():
         data = encoded[component][idx]
-        if config.backend == INTERNAL:
-            vectors[component] = mean_pool(data, encoders[component].embedding)
+        if model.config.backend == INTERNAL:
+            vectors[component] = mean_pool(data, model.encoders[component].embedding)
         else:
             vectors[component] = data
     return vectors
@@ -175,28 +174,40 @@ def _as_parts(
     )
 
 
-def _scores(
-    n: int,
-    encoded: dict[Component, np.ndarray],
-    config: TrainConfig,
-    encoders: dict[Component, EncoderParams],
-    mlp: MlpParams,
-) -> np.ndarray:
+def _scores(n: int, encoded: dict[Component, np.ndarray], model: ModelParams) -> np.ndarray:
     """Dropout-free scores of n encoded samples, SCORE_CHUNK at a time."""
     scores = np.empty(n)
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
-        vectors = _component_vectors(encoded, chunk, config, encoders)
-        scores[chunk], _ = forward(*_as_parts(vectors), mlp, train_mode=False)
+        vectors = _component_vectors(encoded, chunk, model)
+        scores[chunk], _ = forward(*_as_parts(vectors), model.mlp, train_mode=False)
     return scores
 
 
-def _snapshot(mlp: MlpParams, encoders: dict[Component, EncoderParams]) -> dict:
-    return {
-        "w": [w.copy() for w in mlp.weights],
-        "b": [b.copy() for b in mlp.biases],
-        "emb": {c: e.embedding.copy() for c, e in encoders.items()},
-    }
+def _init_model(rng: np.random.Generator, vocab: Vocab, config: TrainConfig) -> ModelParams:
+    active = config.active_components()
+    encoders = {}
+    if config.backend == INTERNAL:
+        encoders = {c: init_encoder(rng, len(vocab), config.dim) for c in active}
+    hidden = config.hidden_sizes or default_hidden_sizes(config.dim)
+    mlp = init_mlp(rng, config.dim * len(active), hidden, config.dropout_rate)
+    return ModelParams(vocab=vocab, encoders=encoders, mlp=mlp, config=config)
+
+
+def _copy_model(model: ModelParams) -> ModelParams:
+    mlp = model.mlp
+    return ModelParams(
+        vocab=model.vocab,
+        encoders={
+            c: EncoderParams(embedding=e.embedding.copy()) for c, e in model.encoders.items()
+        },
+        mlp=MlpParams(
+            weights=[w.copy() for w in mlp.weights],
+            biases=[b.copy() for b in mlp.biases],
+            dropout_rate=mlp.dropout_rate,
+        ),
+        config=model.config,
+    )
 
 
 def train(
@@ -206,8 +217,10 @@ def train(
 ) -> tuple[ModelParams, TrainHistory]:
     """Train on split.train, checkpointing on split.val F1.
 
-    A non-finite training loss aborts the loop and the model from the most
-    recent finite checkpoint is returned with history.diverged set.
+    Returns the parameters of the best validation (earliest on ties). A
+    non-finite training loss aborts the loop with history.diverged set and
+    the best checkpoint so far is returned; when no validation ran, the
+    seed's initial parameters are.
     """
     if not split.train or not split.val:
         raise ValueError("train and validation sets must be non-empty")
@@ -220,13 +233,10 @@ def train(
     if config.backend == INTERNAL:
         vocab_texts = [component_text(s, c) for s in split.train for c in active]
         vocab = build_vocab(vocab_texts, min_freq=config.min_freq)
-        encoders = {c: init_encoder(rng, len(vocab), config.dim) for c in active}
     else:
         vocab = make_vocab([])
-        encoders = {}
-
-    hidden = config.hidden_sizes or default_hidden_sizes(config.dim)
-    mlp = init_mlp(rng, config.dim * len(active), hidden, config.dropout_rate)
+    model = _init_model(rng, vocab, config)
+    mlp = model.mlp
 
     train_encoded = _encode_samples(split.train, config, vocab, store)
     val_encoded = _encode_samples(split.val, config, vocab, store)
@@ -234,23 +244,21 @@ def train(
     val_labels = [s.label for s in split.val]
 
     params_list = list(mlp.weights) + list(mlp.biases) + [
-        encoders[c].embedding for c in active if c in encoders
+        e.embedding for e in model.encoders.values()
     ]
     adam = AdamState.for_params(params_list)
 
     history = TrainHistory()
-    initial = _snapshot(mlp, encoders)
     best_f1 = -math.inf
-    best: Optional[dict] = None
-    last_checkpoint: Optional[dict] = None
+    best: Optional[ModelParams] = None
     n_train = len(split.train)
     batches_done = 0
     running_loss = 0.0
     running_batches = 0
 
     def validate(epoch: int) -> None:
-        nonlocal best_f1, best, last_checkpoint, running_loss, running_batches
-        scores = _scores(len(split.val), val_encoded, config, encoders, mlp)
+        nonlocal best_f1, best, running_loss, running_batches
+        scores = _scores(len(split.val), val_encoded, model)
         f1 = metrics(confusion([status_of(s) for s in scores], val_labels)).f1
         avg_loss = running_loss / running_batches if running_batches else float("nan")
         history.validations.append(
@@ -258,11 +266,11 @@ def train(
         )
         running_loss = 0.0
         running_batches = 0
-        last_checkpoint = _snapshot(mlp, encoders)
         comparable = -1.0 if f1 is None else f1
         if comparable > best_f1:
             best_f1 = comparable
-            best = last_checkpoint
+            best = None  # free the old checkpoint before copying the new one
+            best = _copy_model(model)
             history.best_batch = batches_done
 
     diverged = False
@@ -270,7 +278,7 @@ def train(
         order = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             idx = order[start : start + config.batch_size]
-            vectors = _component_vectors(train_encoded, idx, config, encoders)
+            vectors = _component_vectors(train_encoded, idx, model)
             scores, cache = forward(
                 *_as_parts(vectors), mlp, train_mode=True, rng=rng
             )
@@ -310,18 +318,10 @@ def train(
 
     history.final_batch = batches_done
     history.diverged = diverged
-
-    chosen = best if best is not None else (last_checkpoint or initial)
-    mlp_out = MlpParams(
-        weights=[w.copy() for w in chosen["w"]],
-        biases=[b.copy() for b in chosen["b"]],
-        dropout_rate=config.dropout_rate,
-    )
-    encoders_out = {
-        c: EncoderParams(embedding=chosen["emb"][c].copy()) for c in chosen["emb"]
-    }
-    model = ModelParams(vocab=vocab, encoders=encoders_out, mlp=mlp_out, config=config)
-    return model, history
+    if best is None:
+        # Init is the generator's first use, so a fresh one redraws it.
+        best = _init_model(np.random.default_rng(config.seed), vocab, config)
+    return best, history
 
 
 def predict_scores(
@@ -339,7 +339,7 @@ def predict_scores(
     if not samples:
         return np.empty(0)
     encoded = _encode_samples(samples, config, model.vocab, store)
-    return _scores(len(samples), encoded, config, model.encoders, model.mlp)
+    return _scores(len(samples), encoded, model)
 
 
 def predict(

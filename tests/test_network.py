@@ -16,7 +16,6 @@ from staletodo.model import (
     mlp_backward,
 )
 from staletodo.model.network import (
-    Gradients,
     MlpParams,
     ShapeMismatch,
     default_hidden_sizes,
@@ -292,7 +291,3 @@ class TestShapes:
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             assert np.abs(w).max() <= bound
             assert np.array_equal(b, np.zeros(fan_out))
-
-    def test_gradients_arrays_order_stable(self):
-        g = Gradients(mlp_w=[np.zeros(1)], mlp_b=[np.ones(1)])
-        assert len(g.arrays()) == 2

@@ -1,12 +1,14 @@
 """Training loop behavior: learning, determinism, masking, divergence."""
 
+import dataclasses
+import random
 
 import numpy as np
 import pytest
 
-from helpers import make_sample, make_separable_corpus
+from helpers import make_sample, make_separable_corpus, random_sample
 from staletodo.corpus import DatasetSplit, Label, split_dataset
-from staletodo.metrics import Status, status_of
+from staletodo.metrics import Status, confusion, metrics, status_of
 from staletodo.model import (
     ExternalVectorStore,
     TrainConfig,
@@ -14,7 +16,7 @@ from staletodo.model import (
     predict_scores,
     train,
 )
-from staletodo.model.network import Component
+from staletodo.model.network import Component, default_hidden_sizes, init_encoder, init_mlp
 from staletodo.model.training import SCORE_CHUNK, parse_mask
 from staletodo.model.vocab import PAD_INDEX
 
@@ -147,8 +149,50 @@ class TestMasking:
         assert model.mlp.input_dim == 2 * config.dim
 
 
+def model_arrays(model):
+    return [e.embedding for e in model.encoders.values()] + model.mlp.weights + model.mlp.biases
+
+
+def bit_equal(arrays_a, arrays_b):
+    return len(arrays_a) == len(arrays_b) and all(
+        np.array_equal(a, b) for a, b in zip(arrays_a, arrays_b)
+    )
+
+
+class TestCheckpoint:
+    def test_returns_best_validation_not_last(self):
+        rng = random.Random(1)
+        split = split_dataset([random_sample(rng, i) for i in range(60)], seed=1)
+        config = TrainConfig(
+            dim=16, min_freq=1, seed=3, batch_size=8, max_epochs=6, validate_every=1
+        )
+        model, history = train(split, config)
+        f1s = [-1.0 if v.val_f1 is None else v.val_f1 for v in history.validations]
+        best = max(f1s)
+        assert f1s[-1] < best
+        assert history.best_batch < history.validations[-1].batch
+        val = list(split.val)
+        statuses = [status_of(s) for s in predict_scores(val, model)]
+        assert metrics(confusion(statuses, [s.label for s in val])).f1 == best
+
+    def test_no_epochs_returns_seed_init(self):
+        split = toy_split(20)
+        config = TrainConfig(max_epochs=0, **FAST_CONFIG)
+        model, history = train(split, config)
+        assert history.validations == [] and history.best_batch == -1
+        rng = np.random.default_rng(config.seed)
+        active = config.active_components()
+        encoders = [init_encoder(rng, len(model.vocab), config.dim) for _ in active]
+        mlp = init_mlp(
+            rng, config.dim * len(active), default_hidden_sizes(config.dim), config.dropout_rate
+        )
+        assert list(model.encoders) == list(active)
+        expected = [e.embedding for e in encoders] + mlp.weights + mlp.biases
+        assert bit_equal(model_arrays(model), expected)
+
+
 class TestDivergence:
-    def test_non_finite_loss_aborts_with_finite_model(self):
+    def _poisoned(self):
         # clamped cross entropy never overflows on its own, so feed the
         # network a corrupted (NaN) external vector to force the path
         corpus = make_separable_corpus(24, seed=9)
@@ -167,10 +211,25 @@ class TestDivergence:
             backend="external", max_epochs=5, validate_every=1, seed=3,
             hidden_sizes=(8, 4, 2),
         )
+        return split, config, store
+
+    def test_non_finite_loss_aborts_with_finite_model(self):
+        split, config, store = self._poisoned()
         model, history = train(split, config, store)
         assert history.diverged
         for w in model.mlp.weights + model.mlp.biases:
             assert np.all(np.isfinite(w))
+
+    def test_divergence_before_validation_returns_init(self):
+        split, config, store = self._poisoned()
+        twin, _ = train(split, dataclasses.replace(config, max_epochs=0), store)
+        # the first batch diverges, or later ones after some Adam steps
+        steps = dataclasses.replace(config, batch_size=4, validate_every=0)
+        for diverging, min_steps in ((config, 0), (steps, 1)):
+            model, history = train(split, diverging, store)
+            assert history.diverged and history.validations == []
+            assert history.final_batch >= min_steps
+            assert bit_equal(model_arrays(model), model_arrays(twin))
 
 
 class TestPredict:
