@@ -5,6 +5,10 @@ Python, ``//`` and single-line ``/* ... */`` for Java. Delimiters inside
 string literals do not open comments. Block comments that span lines are
 handled per line only; diffs fragment comments, so a TODO is detected on
 its own line or not at all.
+
+Only lines that hold the TODO token are lexed. A comment's text is a
+substring of its line bounded by non-alphanumerics (a delimiter, blank or
+the line's end), so a line without the token holds no TODO comment.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import PurePosixPath
-from typing import Iterator, Mapping, Optional
+from typing import Collection, Iterator, Optional
 
 from .diffs import DiffDocument, DiffLine, LineKind, render_lines
 
@@ -139,25 +143,39 @@ def extract_comments(
 
 
 def extract_comments_by_file(
-    doc: DiffDocument, file_languages: Mapping[int, Language]
-) -> list[tuple[DiffLine, str, Language]]:
-    """Like extract_comments, but with a per-file language map.
+    doc: DiffDocument, languages: Collection[Language]
+) -> list[TodoComment]:
+    """The TODO comments of a normalized document, in line order.
 
-    Lines belonging to files without a known language contribute nothing;
-    each hit carries the language it was lexed with.
+    Each file is lexed in the language its path maps to, and only if that
+    language is one of languages.
     """
+    file_languages = [
+        language if (language := language_for_path(new or old)) in languages else None
+        for old, new in doc.files
+    ]
     found = []
     for line in doc.lines:
-        language = file_languages.get(line.file_index)
+        language = file_languages[line.file_index]
         if language is None:
             continue
-        for span in iter_line_comments(line.text, language):
-            found.append((line, span.text, language))
+        for text in line_todo_texts(line.text, language):
+            found.append(TodoComment(text=text, line=line, language=language))
     return found
 
 
+def line_todo_texts(text: str, language: Language) -> list[str]:
+    """The texts of the TODO comments on one source line."""
+    if not contains_todo(text):
+        return []
+    return [span.text for span in iter_line_comments(text, language) if contains_todo(span.text)]
+
+
 def contains_todo(text: str) -> bool:
-    return _TODO_TOKEN_RE.search(text) is not None
+    # The substring test is a quick necessary condition: "t", "o" and "d"
+    # match only themselves and their ASCII capitals under re.IGNORECASE,
+    # and str.lower maps those to "todo".
+    return "todo" in text.lower() and _TODO_TOKEN_RE.search(text) is not None
 
 
 def single_todo_filter(todos: list[TodoComment]) -> Optional[TodoComment]:

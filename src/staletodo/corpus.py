@@ -24,10 +24,8 @@ from .comments import (
     TodoComment,
     associate,
     carve_code_change,
-    contains_todo,
     extract_comments,  # not called here: bench/tracing.py patches this name
     extract_comments_by_file,
-    language_for_path,
     single_todo_filter,
 )
 from .diffs import (
@@ -150,13 +148,15 @@ def extract_triple(
     commit: RawCommit,
     languages: Collection[Language],
     context_lines: int = DEFAULT_CONTEXT_LINES,
+    kinds: Collection[LineKind] = tuple(LineKind),
 ) -> Union[tuple[TripleSample, TodoComment, str], str, None]:
     """Run the commit-to-triple pipeline on one commit.
 
     Only files whose extension maps to one of languages are lexed. Returns
     the labeled sample with its TODO and the TODO's file path, None when the
-    diff does not mention TODO, or else the name of the BuildCounts field
-    that counts why the commit gave no triple.
+    diff does not mention TODO, or else the reason the commit gave no
+    triple: the name of the BuildCounts field that counts it, or
+    "other_kind" when the single TODO sits on a line of a kind outside kinds.
     """
     if "todo" not in commit.diff_text.lower():
         return None
@@ -168,18 +168,11 @@ def extract_triple(
     norm = normalize_diff(doc)
     if norm is None:
         return "oversize"
-    file_languages = {
-        i: language
-        for i, (old, new) in enumerate(norm.files)
-        if (language := language_for_path(new or old)) in languages
-    }
-    todo = single_todo_filter([
-        TodoComment(text=text, line=line, language=language)
-        for line, text, language in extract_comments_by_file(norm, file_languages)
-        if contains_todo(text)
-    ])
+    todo = single_todo_filter(extract_comments_by_file(norm, languages))
     if todo is None:
         return "no_single_todo"
+    if todo.line.kind not in kinds:
+        return "other_kind"
     if not associate(todo, norm, context_lines):
         return "unassociated"
     cc = carve_code_change(norm, todo)

@@ -13,7 +13,7 @@ and binary-file notices are metadata and never become content lines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -200,8 +200,15 @@ def normalize_diff(doc: DiffDocument) -> Optional[DiffDocument]:
     """
     if doc.byte_size > MAX_DIFF_BYTES:
         return None
-    lines = tuple(replace(line, text=normalize_text(line.text)) for line in doc.lines)
-    return replace(doc, lines=lines)
+    # One pass over all lines is the same as one per line: no line holds
+    # "\n", str.lower never makes or removes one, and a hex run cannot
+    # cross one.
+    texts = normalize_text("\n".join(line.text for line in doc.lines)).split("\n")
+    lines = tuple(
+        DiffLine(line.kind, text, line.file_index, line.hunk_index, line.position)
+        for line, text in zip(doc.lines, texts)
+    )
+    return DiffDocument(lines=lines, byte_size=doc.byte_size, files=doc.files)
 
 
 def normalize_text(text: str) -> str:

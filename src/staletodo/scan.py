@@ -25,8 +25,8 @@ from .comments import (
     associate,  # not called here: bench/tracing.py patches this name
     carve_code_change,  # not called here: bench/tracing.py patches this name
     extract_comments_by_file,  # not called here: bench/tracing.py patches this name
-    iter_line_comments,
     language_for_path,
+    line_todo_texts,
 )
 from .corpus import TripleSample, extract_triple
 from .diffs import (
@@ -67,17 +67,18 @@ def candidate_triples(
     languages = tuple(Language)
     out = []
     for commit in commits:
-        result = extract_triple(commit, languages, context_lines)
-        if isinstance(result, tuple) and result[0].todo_line_kind is LineKind.CONTEXT:
+        result = extract_triple(commit, languages, context_lines, kinds=(LineKind.CONTEXT,))
+        if isinstance(result, tuple):
             out.append(result)
     return out
 
 
 def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
-    """(file, whitespace-normalized comment text) -> first line at HEAD.
+    """(file, whitespace-normalized TODO comment text) -> first line at HEAD.
 
-    Only lines holding "todo" in any case are read, which loses nothing:
-    every text looked up holds that token. Binary files are skipped.
+    Only TODO comments are indexed, and only lines holding "todo" in any
+    case are read, which loses nothing: every text looked up is a TODO
+    comment. Binary files are skipped.
     """
     # git grep exits with 1 when no line matches.
     output = run_git(
@@ -88,9 +89,9 @@ def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
         language = language_for_path(path)
         if language is None:
             continue
-        for span in iter_line_comments(line.lower(), language):
+        for text in line_todo_texts(line.lower(), language):
             # git grep lists a file's lines in order: the first hit is the lowest.
-            index.setdefault((path, normalize_ws(span.text)), int(line_no))
+            index.setdefault((path, normalize_ws(text)), int(line_no))
     return index
 
 

@@ -4,21 +4,25 @@ import io
 import random
 import tokenize
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_doc, make_line
 from staletodo.comments import (
+    _TODO_TOKEN_RE,
     Language,
     TodoComment,
     associate,
     carve_code_change,
     contains_todo,
     extract_comments,
+    extract_comments_by_file,
     iter_line_comments,
+    language_for_path,
+    line_todo_texts,
     single_todo_filter,
 )
-from staletodo.diffs import LineKind, normalize_diff, parse_unified_diff
+from staletodo.diffs import DiffDocument, DiffLine, LineKind, normalize_diff, parse_unified_diff
 
 
 def comments_of(text, language):
@@ -351,3 +355,92 @@ class TestCarveCodeChange:
             todo = TodoComment("todo: remove me", doc.lines[pos], Language.PYTHON)
             cc = carve_code_change(doc, todo)
             assert "todo: remove me" not in cc.rendered
+
+
+# Pieces of source lines: TODO markers bare and glued to letters or digits,
+# comment delimiters, quotes, escapes and non-ASCII text.
+_PIECES = st.sampled_from([
+    "todo", "TODO", "ToDo", "todo:", "todos", "xtodo", "todo1", "2todo", "_todo",
+    "todo_", "étodo", "todoé", "#todo", "//todo", "/*todo*/", "# ", "#", "//", "/*",
+    "*/", "/", "*", "'", '"', "'''", '"""', "\\", "\\'", " ", "\t", "x", "= 1",
+    "é", "Σ", "İ", "ß", "中", "K", "\r", "\x0c",
+])
+_SOURCE_LINE = st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=10).map("".join)
+_FILES = (("a.py", "a.py"), (None, "B.java"), ("c.txt", "c.txt"), ("D.PY", None))
+
+
+def every_line_todos(doc, languages):
+    """Reference finder: lex every line, keep the comments holding TODO."""
+    found = []
+    for line in doc.lines:
+        old, new = doc.files[line.file_index]
+        language = language_for_path(new or old)
+        if language not in languages:
+            continue
+        for span in iter_line_comments(line.text, language):
+            if contains_todo(span.text):
+                found.append(TodoComment(text=span.text, line=line, language=language))
+    return found
+
+
+class TestTodoFinder:
+    """extract_comments_by_file lexes only lines holding the TODO token."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(LineKind), st.integers(0, len(_FILES) - 1), _SOURCE_LINE),
+            max_size=12,
+        ),
+        st.sets(st.sampled_from(Language)),
+    )
+    @example(
+        [
+            (LineKind.CONTEXT, 0, "s = '#todo' # TODO: Fix é"),
+            (LineKind.ADDED, 1, 's = "// todo"; /* ToDo */ x(); // todo2 todo'),
+            (LineKind.REMOVED, 2, "# todo: not source"),
+            (LineKind.CONTEXT, 3, "x = 'a//b'  # Todo: İ"),
+        ],
+        {Language.PYTHON, Language.JAVA},
+    )
+    def test_same_todos_as_lexing_every_line(self, specs, languages):
+        lines = tuple(
+            DiffLine(kind, text, file_index, 0, i)
+            for i, (kind, file_index, text) in enumerate(specs)
+        )
+        doc = DiffDocument(lines=lines, byte_size=100, files=_FILES)
+        assert extract_comments_by_file(doc, languages) == every_line_todos(doc, languages)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SOURCE_LINE, st.sampled_from(Language))
+    @example("x = 1  # TODO: Fix", Language.PYTHON)
+    @example('s = "/* todo */"; /* ToDo: a */ // Σ todo', Language.JAVA)
+    def test_line_todo_texts_keeps_the_todo_comments(self, text, language):
+        expected = [s.text for s in iter_line_comments(text, language) if contains_todo(s.text)]
+        assert line_todo_texts(text, language) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_SOURCE_LINE, st.text()))
+    def test_contains_todo_same_as_token_regex(self, text):
+        assert contains_todo(text) is (_TODO_TOKEN_RE.search(text) is not None)
+
+    def test_todo_glued_to_ascii_letters_or_digits_is_not_a_todo(self):
+        # Only ASCII letters and digits glue: "é" is a boundary.
+        doc = make_doc([(" ", "x = 1  # xtodo todo1 2todos"), ("+", "# étodo: keep")])
+        assert [t.text for t in extract_comments_by_file(doc, tuple(Language))] == [
+            "étodo: keep"
+        ]
+
+    def test_files_outside_languages_are_not_lexed(self):
+        doc = DiffDocument(
+            lines=(make_line(" ", "// todo: java", file_index=1), make_line(" ", "# todo: py")),
+            byte_size=100,
+            files=(("a.py", "a.py"), ("B.java", "B.java")),
+        )
+        assert [t.language for t in extract_comments_by_file(doc, (Language.JAVA,))] == [
+            Language.JAVA
+        ]
+        assert [t.text for t in extract_comments_by_file(doc, tuple(Language))] == [
+            "todo: java",
+            "todo: py",
+        ]

@@ -91,6 +91,14 @@ class TestLabelTriple:
         # "added_kind" is the drop that counts a first-time TODO.
         assert _triple(["+    # TODO: handle errors", "+    risky()", " def run():"]) == "added_kind"
 
+    def test_kinds_outside_the_request_dropped_before_association(self):
+        # The removed TODO has no change within three lines: all kinds reach
+        # association and fail there, a context-only request stops before it.
+        body = ["-    # TODO: drop this", " a", " b", " c", " d", "+e()"]
+        assert _triple(body) == "unassociated"
+        commit = commit_with_diff(body)
+        assert extract_triple(commit, (Language.PYTHON,), kinds=(LineKind.CONTEXT,)) == "other_kind"
+
     def test_totality_over_kinds(self):
         for kind in LineKind:
             line = make_doc([("+", "# todo x")]).lines[0]

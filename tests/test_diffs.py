@@ -5,16 +5,21 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_doc
 from staletodo.diffs import (
     MAX_DIFF_BYTES,
     DiffDocument,
+    DiffLine,
     LineKind,
     MalformedDiff,
     normalize_diff,
     normalize_message,
+    normalize_text,
     parse_unified_diff,
+    render_lines,
 )
 
 FIXTURE_DIFF = """\
@@ -328,3 +333,68 @@ class TestLineScopes:
     def test_fixture_partition_matches_oracle(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
         assert kind_counts(doc) == marker_count_oracle(FIXTURE_DIFF)
+
+
+# Line text as git output decodes: anything but "\n" and lone surrogates
+# (undecodable bytes become U+FFFD). Pieces add the characters whose case
+# mapping changes the length ("İ" lowers to two characters) or depends on
+# context ("Σ"), other line breaks, and hex runs at a line's start or end.
+_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "İ", "Σ", "ΑΣ", "ß", "\r", "\x0c", "\x0b", " ", " ", "x", "_", "#",
+            "deadbee", "DEADBEEF1", "1234567", "a1b2c3d4e5f6a7b8c9d0a1b2c3d4e5f6a7b8c9d0",
+            "+", "-", "--- a/x", "+++ b/x", "@@ -1 +1 @@", "diff --git a/x b/x", "\\",
+        ]),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+_BODY = st.lists(st.tuples(st.sampled_from("+- "), _TEXT), min_size=1, max_size=6)
+
+
+class TestNormalizeDiffOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("+- "), _TEXT), max_size=10))
+    def test_same_as_normalizing_each_line(self, specs):
+        doc = make_doc(specs)
+        assert normalize_diff(doc) == DiffDocument(
+            lines=tuple(
+                DiffLine(line.kind, normalize_text(line.text), line.file_index,
+                         line.hunk_index, line.position)
+                for line in doc.lines
+            ),
+            byte_size=doc.byte_size,
+            files=doc.files,
+        )
+
+    def test_hex_runs_at_line_starts_and_ends(self):
+        doc = make_doc([(" ", "DEADBEEF1"), ("+", "x 1234567"), ("-", "abcdef12 y")])
+        assert [line.text for line in normalize_diff(doc).lines] == [
+            "<commit_id>", "x <commit_id>", "<commit_id> y"
+        ]
+
+
+class TestParseRenderRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_BODY, min_size=1, max_size=3), max_size=3))
+    def test_body_lines_come_back(self, files):
+        """Every hunk body line parses to one DiffLine, and rendering the
+        lines gives the body lines back, whatever text they hold."""
+        parts, bodies, places = [], [], []
+        for file_index, hunks in enumerate(files):
+            path = f"f{file_index}.py"
+            parts += [f"diff --git a/{path} b/{path}", "index 1111111..2222222 100644",
+                      f"--- a/{path}", f"+++ b/{path}"]
+            for hunk_index, body in enumerate(hunks):
+                n_old = sum(marker != "+" for marker, _ in body)
+                n_new = sum(marker != "-" for marker, _ in body)
+                parts.append(f"@@ -1,{n_old} +1,{n_new} @@")
+                lines = [marker + text for marker, text in body]
+                parts += lines
+                bodies += lines
+                places += [(file_index, hunk_index, i) for i in range(len(body))]
+        doc = parse_unified_diff("\n".join(parts) + "\n")
+        assert render_lines(doc.lines) == "\n".join(bodies)
+        assert [(l.file_index, l.hunk_index, l.position) for l in doc.lines] == places
+        assert len(doc.files) == len(files)

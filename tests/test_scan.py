@@ -8,10 +8,13 @@ from helpers import (
     MIXED_LANGUAGE_COMMIT,
     PYTHON_ONLY_COMMIT,
     commit_all,
+    diff_commit,
     git,
     init_repo,
 )
 from staletodo.comments import Language, contains_todo, iter_line_comments
+from staletodo.corpus import extract_triple
+from staletodo.diffs import LineKind
 from staletodo.mining import NotARepository, mine_repository
 from staletodo.scan import (
     FindingKind,
@@ -42,6 +45,22 @@ class TestCandidateTriples:
         for sample, todo, file_path in triples:
             assert sample.todo_line_kind.value == "context"
             assert file_path in ("a.py", "b.py")
+
+    def test_same_as_keeping_context_triples_of_every_kind(self, scan_repo):
+        removed = diff_commit(
+            {"e.py": [" def send(msg):", "-    # todo: log it", "+    log(msg)"]}, "e0ffee3", "log it."
+        )
+        commits = [*mine_repository(scan_repo), MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, removed]
+        every_kind = [extract_triple(commit, tuple(Language)) for commit in commits]
+        assert candidate_triples(commits) == [
+            result
+            for result in every_kind
+            if isinstance(result, tuple) and result[0].todo_line_kind is LineKind.CONTEXT
+        ]
+        assert any(
+            isinstance(result, tuple) and result[0].todo_line_kind is LineKind.REMOVED
+            for result in every_kind
+        )
 
     def test_languages_from_extension(self):
         assert language_for_path("x/y.py").value == "python"
