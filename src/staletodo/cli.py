@@ -105,6 +105,9 @@ def _cmd_train(args) -> int:
         f"{'n/a' if best_f1 is None else f'{best_f1:.4f}'})"
         f"{' [diverged]' if history.diverged else ''}"
     )
+    if model.encoders:
+        sizes = " ".join(f"{c.value}={len(e.vocab)}" for c, e in model.encoders.items())
+        print(f"vocab {sizes}")
     print(f"model -> {args.out}")
     return 0
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import PurePosixPath
 from typing import Collection, Iterator, Optional
 
 from .diffs import DiffDocument, DiffLine, LineKind, render_lines
@@ -37,9 +36,15 @@ EXTENSION_LANGUAGES = {".py": Language.PYTHON, ".java": Language.JAVA}
 
 
 def language_for_path(path: Optional[str]) -> Optional[Language]:
+    """The language of a git path's extension, as PurePosixPath.suffix finds
+    it: the last dot of the file name, unless it starts or ends the name."""
     if not path:
         return None
-    return EXTENSION_LANGUAGES.get(PurePosixPath(path).suffix.lower())
+    name = path[path.rfind("/") + 1 :]
+    dot = name.rfind(".")
+    if not 0 < dot < len(name) - 1:
+        return None
+    return EXTENSION_LANGUAGES.get(name[dot:].lower())
 
 
 @dataclass(frozen=True)

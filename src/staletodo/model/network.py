@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .optimizer import RowGradient
-from .vocab import PAD_INDEX
+from .vocab import PAD_INDEX, Vocab
 
 LOSS_EPS = 1e-7
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
@@ -39,7 +39,10 @@ COMPONENT_ORDER = (Component.CC, Component.TD, Component.MSG)
 
 @dataclass
 class EncoderParams:
-    embedding: np.ndarray  # (vocab, dim)
+    """One component's encoder: its own vocabulary and the table it indexes."""
+
+    vocab: Vocab
+    embedding: np.ndarray  # (len(vocab), dim)
 
     @property
     def dim(self) -> int:
@@ -75,10 +78,10 @@ def default_hidden_sizes(dim: int) -> tuple[int, int, int]:
     return (start, max(start // 2, 8), max(start // 4, 8))
 
 
-def init_encoder(rng: np.random.Generator, vocab_size: int, dim: int) -> EncoderParams:
-    table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
+def init_encoder(rng: np.random.Generator, vocab: Vocab, dim: int) -> EncoderParams:
+    table = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     table[PAD_INDEX] = 0.0
-    return EncoderParams(embedding=table)
+    return EncoderParams(vocab=vocab, embedding=table)
 
 
 def init_mlp(

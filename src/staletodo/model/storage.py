@@ -1,8 +1,9 @@
 """Model container files and the external-embedding interchange format.
 
 The model file is a numpy .npz archive: arrays stay bit-exact and a JSON
-header carries the vocabulary, the config echo and a format version. It
-holds no optimizer state.
+header carries each encoder's vocabulary (in component order), the config
+echo and a format version. It holds no optimizer state, and an
+external-backend model holds no vocabulary.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 EXTERNAL_DIM = 768
 
 
@@ -102,20 +103,19 @@ def save_model(model, path: str) -> None:
 
     config = dataclasses.asdict(model.config)
     config["component_mask"] = sorted(c.value for c in config["component_mask"])
+    encoders = [(c, model.encoders[c]) for c in COMPONENT_ORDER if c in model.encoders]
     meta = {
         "format_version": FORMAT_VERSION,
-        "vocab": list(model.vocab.tokens),
         "config": config,
         "n_layers": len(model.mlp.weights),
-        "encoders": [c.value for c in COMPONENT_ORDER if c in model.encoders],
+        "encoders": {c.value: list(e.vocab.tokens) for c, e in encoders},
     }
     arrays: dict[str, np.ndarray] = {}
     for i, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
         arrays[f"mlp_w{i}"] = w
         arrays[f"mlp_b{i}"] = b
-    for component in COMPONENT_ORDER:
-        if component in model.encoders:
-            arrays[f"emb_{component.value}"] = model.encoders[component].embedding
+    for component, encoder in encoders:
+        arrays[f"emb_{component.value}"] = encoder.embedding
 
     # A file object, not a path: np.savez would append ".npz" to a path.
     with open(path, "wb") as fh:
@@ -124,17 +124,21 @@ def save_model(model, path: str) -> None:
 
 def load_model(path: str):
     from .network import Component, EncoderParams, MlpParams
-    from .training import ModelParams, TrainConfig
+    from .training import INTERNAL, ModelParams, TrainConfig
     from .vocab import make_vocab
 
     with np.load(path, allow_pickle=False) as archive:
         if "meta" not in archive:
             raise ModelFileError("not a model file: missing meta entry")
         meta = json.loads(str(archive["meta"]))
-        if meta.get("format_version") != FORMAT_VERSION:
+        version = meta.get("format_version")
+        if version == 2:
             raise ModelFileError(
-                f"unsupported model format version {meta.get('format_version')!r}"
+                "model format 2 shares one vocabulary between the encoders and is no"
+                f" longer read; retrain to write format {FORMAT_VERSION}"
             )
+        if version != FORMAT_VERSION:
+            raise ModelFileError(f"unsupported model format version {version!r}")
         cfg = {f.name: meta["config"][f.name] for f in dataclasses.fields(TrainConfig)}
         cfg["component_mask"] = frozenset(Component(v) for v in cfg["component_mask"])
         if cfg["hidden_sizes"] is not None:
@@ -142,12 +146,27 @@ def load_model(path: str):
         config = TrainConfig(**cfg)
         weights = [archive[f"mlp_w{i}"] for i in range(meta["n_layers"])]
         biases = [archive[f"mlp_b{i}"] for i in range(meta["n_layers"])]
-        encoders = {
-            Component(v): EncoderParams(embedding=archive[f"emb_{v}"])
-            for v in meta["encoders"]
-        }
+        encoders = {}
+        for name, tokens in meta["encoders"].items():
+            try:
+                component = Component(name)
+            except ValueError:
+                raise ModelFileError(f"unknown encoder {name!r}") from None
+            vocab = make_vocab(tokens)
+            table = archive[f"emb_{name}"]
+            if len(vocab) != table.shape[0]:
+                raise ModelFileError(
+                    f"encoder {name!r}: {len(vocab)} vocabulary tokens"
+                    f" for {table.shape[0]} table rows"
+                )
+            encoders[component] = EncoderParams(vocab=vocab, embedding=table)
+        expected = config.active_components() if config.backend == INTERNAL else ()
+        if tuple(encoders) != expected:
+            raise ModelFileError(
+                f"encoders {[c.value for c in encoders]} do not match the config's"
+                f" {[c.value for c in expected]}"
+            )
     return ModelParams(
-        vocab=make_vocab(meta["vocab"]),
         encoders=encoders,
         mlp=MlpParams(weights=weights, biases=biases, dropout_rate=config.dropout_rate),
         config=config,

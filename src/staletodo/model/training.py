@@ -33,7 +33,7 @@ from .network import (
 )
 from .optimizer import AdamState, adam_step, clip_gradients
 from .storage import ExternalVectorStore
-from .vocab import Vocab, build_vocab, make_vocab
+from .vocab import Vocab, build_vocab
 
 INTERNAL = "internal"
 EXTERNAL = "external"
@@ -120,23 +120,24 @@ class TrainHistory:
 
 @dataclass
 class ModelParams:
-    vocab: Vocab
-    encoders: dict[Component, EncoderParams]
+    encoders: dict[Component, EncoderParams]  # empty for the external backend
     mlp: MlpParams
     config: TrainConfig
 
 
 def _encode_samples(
     samples: Sequence[TripleSample],
-    config: TrainConfig,
-    vocab: Vocab,
+    model: ModelParams,
     store: Optional[ExternalVectorStore],
 ) -> dict[Component, np.ndarray]:
-    """Precompute per-component model inputs: id matrices or fixed vectors."""
+    """Precompute per-component model inputs: id matrices, each in its own
+    encoder's vocabulary, or fixed vectors."""
+    config = model.config
     encoded: dict[Component, np.ndarray] = {}
     for component in config.active_components():
         if config.backend == INTERNAL:
             max_len = config.max_len(component)
+            vocab = model.encoders[component].vocab
             ids = np.array(
                 [vocab.encode_text(component_text(s, component), max_len) for s in samples],
                 dtype=np.int64,
@@ -184,22 +185,23 @@ def _scores(n: int, encoded: dict[Component, np.ndarray], model: ModelParams) ->
     return scores
 
 
-def _init_model(rng: np.random.Generator, vocab: Vocab, config: TrainConfig) -> ModelParams:
-    active = config.active_components()
-    encoders = {}
-    if config.backend == INTERNAL:
-        encoders = {c: init_encoder(rng, len(vocab), config.dim) for c in active}
+def _init_model(
+    rng: np.random.Generator, vocabs: dict[Component, Vocab], config: TrainConfig
+) -> ModelParams:
+    """Draw the initial parameters: one table per vocabulary (in
+    COMPONENT_ORDER), then the MLP."""
+    encoders = {c: init_encoder(rng, vocab, config.dim) for c, vocab in vocabs.items()}
     hidden = config.hidden_sizes or default_hidden_sizes(config.dim)
-    mlp = init_mlp(rng, config.dim * len(active), hidden, config.dropout_rate)
-    return ModelParams(vocab=vocab, encoders=encoders, mlp=mlp, config=config)
+    mlp = init_mlp(rng, config.dim * len(config.active_components()), hidden, config.dropout_rate)
+    return ModelParams(encoders=encoders, mlp=mlp, config=config)
 
 
 def _copy_model(model: ModelParams) -> ModelParams:
     mlp = model.mlp
     return ModelParams(
-        vocab=model.vocab,
         encoders={
-            c: EncoderParams(embedding=e.embedding.copy()) for c, e in model.encoders.items()
+            c: EncoderParams(vocab=e.vocab, embedding=e.embedding.copy())
+            for c, e in model.encoders.items()
         },
         mlp=MlpParams(
             weights=[w.copy() for w in mlp.weights],
@@ -230,16 +232,19 @@ def train(
     rng = np.random.default_rng(config.seed)
     active = config.active_components()
 
+    # Each encoder has its own vocabulary, built from its own component's
+    # training texts only.
+    vocabs = {}
     if config.backend == INTERNAL:
-        vocab_texts = [component_text(s, c) for s in split.train for c in active]
-        vocab = build_vocab(vocab_texts, min_freq=config.min_freq)
-    else:
-        vocab = make_vocab([])
-    model = _init_model(rng, vocab, config)
+        vocabs = {
+            c: build_vocab([component_text(s, c) for s in split.train], min_freq=config.min_freq)
+            for c in active
+        }
+    model = _init_model(rng, vocabs, config)
     mlp = model.mlp
 
-    train_encoded = _encode_samples(split.train, config, vocab, store)
-    val_encoded = _encode_samples(split.val, config, vocab, store)
+    train_encoded = _encode_samples(split.train, model, store)
+    val_encoded = _encode_samples(split.val, model, store)
     y_train = np.array([1.0 if s.label is Label.POSITIVE else 0.0 for s in split.train])
     val_labels = [s.label for s in split.val]
 
@@ -299,7 +304,7 @@ def train(
                         embedding_gradient(
                             d_h,
                             train_encoded[component][idx],
-                            len(vocab),
+                            len(vocabs[component]),
                             config.dim,
                         )
                     )
@@ -320,7 +325,7 @@ def train(
     history.diverged = diverged
     if best is None:
         # Init is the generator's first use, so a fresh one redraws it.
-        best = _init_model(np.random.default_rng(config.seed), vocab, config)
+        best = _init_model(np.random.default_rng(config.seed), vocabs, config)
     return best, history
 
 
@@ -338,7 +343,7 @@ def predict_scores(
         raise ValueError("external backend requires a vector store")
     if not samples:
         return np.empty(0)
-    encoded = _encode_samples(samples, config, model.vocab, store)
+    encoded = _encode_samples(samples, model, store)
     return _scores(len(samples), encoded, model)
 
 

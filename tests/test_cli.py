@@ -6,7 +6,9 @@ import pytest
 
 from helpers import make_separable_corpus
 from staletodo.cli import main
-from staletodo.corpus import read_corpus, write_corpus
+from staletodo.corpus import read_corpus, split_dataset, write_corpus
+from staletodo.model import build_vocab, component_text
+from staletodo.model.network import Component
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,20 @@ class TestMineAndBuild:
 class TestTrainEval:
     def test_train_writes_model(self, model_path, capsys):
         assert model_path.endswith("model.npz")
+
+    @pytest.mark.parametrize("mask", ["cc,td,msg", "td"])
+    def test_train_prints_each_encoder_vocabulary_size(
+        self, synthetic_corpus_path, mask, tmp_path, capsys
+    ):
+        argv = ["train", "--corpus", synthetic_corpus_path, "--out", str(tmp_path / "m.npz"),
+                "--epochs", "1", "--dim", "8", "--mask", mask, "--seed", "5"]
+        assert main(argv) == 0
+        train = split_dataset(read_corpus(synthetic_corpus_path), seed=5).train
+        sizes = " ".join(
+            f"{c}={len(build_vocab([component_text(s, Component(c)) for s in train]))}"
+            for c in mask.split(",")
+        )
+        assert f"vocab {sizes}" in capsys.readouterr().out.splitlines()
 
     def test_eval_model_and_baselines(self, synthetic_corpus_path, model_path, tmp_path, capsys):
         records_path = str(tmp_path / "records.jsonl")

@@ -3,6 +3,7 @@
 import io
 import random
 import tokenize
+from pathlib import PurePosixPath
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import make_doc, make_line
 from staletodo.comments import (
     _TODO_TOKEN_RE,
+    EXTENSION_LANGUAGES,
     Language,
     TodoComment,
     associate,
@@ -444,3 +446,36 @@ class TestTodoFinder:
             "todo: java",
             "todo: py",
         ]
+
+
+# A git path's components: never empty, "." or "..", and never holding "/".
+_PATH_PART = st.one_of(
+    st.lists(
+        st.sampled_from([".", "..", "py", "PY", "Py", "java", "JAVA", "a", "_", " ", "é", "İ", "日本"]),
+        min_size=1,
+        max_size=6,
+    ).map("".join),
+    st.text(st.characters(blacklist_characters="/\x00"), min_size=1, max_size=8),
+).filter(lambda part: part not in (".", ".."))
+
+
+class TestLanguageForPath:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_PATH_PART, min_size=1, max_size=4).map("/".join))
+    @example(".py")
+    @example("a/.java")
+    @example("a.py.")
+    @example("a..py")
+    @example("a.py..")
+    @example("...")
+    @example("Main.JAVA")
+    @example("dir.py/README")
+    @example("pkg/modulé.Py")
+    @example("日本/ß.java")
+    def test_matches_pure_posix_path_suffix(self, path):
+        expected = EXTENSION_LANGUAGES.get(PurePosixPath(path).suffix.lower())
+        assert language_for_path(path) is expected
+
+    def test_no_path(self):
+        assert language_for_path(None) is None
+        assert language_for_path("") is None

@@ -21,7 +21,12 @@ from staletodo.model.network import (
     default_hidden_sizes,
     embedding_gradient,
 )
-from staletodo.model.vocab import PAD_INDEX
+from staletodo.model.vocab import PAD_INDEX, make_vocab
+
+
+def vocab_of_size(n):
+    """Specials plus made-up tokens: n tokens in all."""
+    return make_vocab([f"w{i}" for i in range(n - 3)])
 
 
 def zero_mlp(input_dim, hidden):
@@ -88,7 +93,7 @@ class TestMeanPool:
             return (table[ids] * mask[:, :, None]).sum(axis=1) / counts[:, None]
 
         rng = np.random.default_rng(8)
-        table = init_encoder(rng, 300, 16).embedding
+        table = init_encoder(rng, vocab_of_size(300), 16).embedding
         table[PAD_INDEX + 1 :] *= rng.normal(size=(299, 16)) * 100
         ids = rng.integers(0, 300, size=(64, 50))
         for row, length in enumerate(rng.integers(0, 51, size=64)):
@@ -279,7 +284,9 @@ class TestShapes:
 
     def test_init_encoder_pad_row_zero(self):
         rng = np.random.default_rng(0)
-        enc = init_encoder(rng, 10, 4)
+        vocab = vocab_of_size(10)
+        enc = init_encoder(rng, vocab, 4)
+        assert enc.vocab is vocab and enc.embedding.shape == (10, 4)
         assert np.array_equal(enc.embedding[PAD_INDEX], np.zeros(4))
         assert np.abs(enc.embedding).max() <= 0.05
 

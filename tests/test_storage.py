@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -42,9 +43,9 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path)
 
-        assert loaded.vocab.tokens == model.vocab.tokens
-        assert set(loaded.encoders) == set(model.encoders)
+        assert list(loaded.encoders) == list(model.encoders)
         for component, encoder in model.encoders.items():
+            assert loaded.encoders[component].vocab.tokens == encoder.vocab.tokens
             assert np.array_equal(loaded.encoders[component].embedding, encoder.embedding)
         for a, b in zip(loaded.mlp.weights, model.mlp.weights):
             assert np.array_equal(a, b)
@@ -72,6 +73,67 @@ class TestModelFile:
         np.savez(path, something=np.zeros(3))
         with pytest.raises(ModelFileError):
             load_model(str(path))
+
+
+def edited_model_file(model, tmp_path, edit):
+    """Save model, let edit(meta, arrays) change the file's entries, write them back."""
+    path = tmp_path / "model.npz"
+    save_model(model, str(path))
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    edit(meta, arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+    return str(path)
+
+
+class TestModelFileChecks:
+    def test_format_3_holds_one_vocabulary_per_encoder(self, trained, tmp_path):
+        model, _ = trained
+        seen = {}
+        edited_model_file(model, tmp_path, lambda meta, arrays: seen.update(meta))
+        assert seen["format_version"] == 3
+        assert "vocab" not in seen
+        assert seen["encoders"] == {
+            c.value: list(e.vocab.tokens) for c, e in model.encoders.items()
+        }
+
+    def test_format_2_refused_with_retrain_hint(self, trained, tmp_path):
+        def to_format_2(meta, arrays):
+            meta["format_version"] = 2
+            meta["vocab"] = meta["encoders"]["cc"]
+            meta["encoders"] = list(meta["encoders"])
+
+        path = edited_model_file(trained[0], tmp_path, to_format_2)
+        with pytest.raises(ModelFileError, match="retrain"):
+            load_model(path)
+
+    def test_vocabulary_and_table_rows_must_agree(self, trained, tmp_path):
+        def drop_token(meta, arrays):
+            meta["encoders"]["td"].pop()
+
+        path = edited_model_file(trained[0], tmp_path, drop_token)
+        with pytest.raises(ModelFileError, match="'td'.*table rows"):
+            load_model(path)
+
+    def test_unknown_encoder_name_refused(self, trained, tmp_path):
+        def rename(meta, arrays):
+            meta["encoders"]["code"] = meta["encoders"].pop("cc")
+            arrays["emb_code"] = arrays.pop("emb_cc")
+
+        path = edited_model_file(trained[0], tmp_path, rename)
+        with pytest.raises(ModelFileError, match="unknown encoder 'code'"):
+            load_model(path)
+
+    def test_encoders_must_match_the_component_mask(self, trained, tmp_path):
+        def drop_td(meta, arrays):
+            del meta["encoders"]["td"]
+            del arrays["emb_td"]
+
+        path = edited_model_file(trained[0], tmp_path, drop_td)
+        with pytest.raises(ModelFileError, match="do not match"):
+            load_model(path)
 
 
 class TestTextHash:

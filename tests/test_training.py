@@ -1,6 +1,7 @@
 """Training loop behavior: learning, determinism, masking, divergence."""
 
 import dataclasses
+import json
 import random
 
 import numpy as np
@@ -14,11 +15,18 @@ from staletodo.model import (
     TrainConfig,
     predict,
     predict_scores,
+    save_model,
     train,
 )
-from staletodo.model.network import Component, default_hidden_sizes, init_encoder, init_mlp
-from staletodo.model.training import SCORE_CHUNK, parse_mask
-from staletodo.model.vocab import PAD_INDEX
+from staletodo.model.network import (
+    COMPONENT_ORDER,
+    Component,
+    default_hidden_sizes,
+    init_encoder,
+    init_mlp,
+)
+from staletodo.model.training import SCORE_CHUNK, _encode_samples, component_text, parse_mask
+from staletodo.model.vocab import PAD_INDEX, UNK_INDEX, build_vocab
 
 
 def accuracy(samples, model, store=None):
@@ -117,6 +125,49 @@ class TestDeterminism:
         assert history_a.validations != history_b.validations
 
 
+class TestEncoderVocabularies:
+    def test_each_table_has_one_row_per_token_of_its_own_vocabulary(self):
+        split = toy_split(20)
+        model, _ = train(split, TrainConfig(max_epochs=2, **FAST_CONFIG))
+        assert list(model.encoders) == list(COMPONENT_ORDER)
+        for component, encoder in model.encoders.items():
+            own = build_vocab([component_text(s, component) for s in split.train], min_freq=1)
+            assert encoder.vocab.tokens == own.tokens
+            assert encoder.embedding.shape == (len(own), FAST_CONFIG["dim"])
+        # the separable corpus's messages hold none of its code's noise words
+        sizes = [len(e.vocab) for e in model.encoders.values()]
+        assert len(set(sizes)) == 3
+
+    def test_code_only_token_is_unk_in_comment_and_message(self):
+        # "zanzibar" reaches min_freq=2 in code changes only; counted over all
+        # three texts it would reach it in the others too.
+        split = toy_split(20)
+        planted = make_sample(cc="+zanzibar = zanzibar", td="todo: zanzibar", msg="zanzibar.")
+        split = dataclasses.replace(split, train=split.train + (planted,))
+        config = TrainConfig(max_epochs=1, **{**FAST_CONFIG, "min_freq": 2})
+        model, _ = train(split, config)
+        cc, td, msg = (model.encoders[c].vocab for c in COMPONENT_ORDER)
+        assert "zanzibar" in cc.index
+        assert "zanzibar" not in td.index and "zanzibar" not in msg.index
+        encoded = _encode_samples([planted], model, None)
+        assert encoded[Component.CC][0][1:3].tolist() == [cc.index["zanzibar"]] * 2
+        assert encoded[Component.TD][0][:2].tolist() == [td.index["todo"], UNK_INDEX]
+        assert encoded[Component.MSG][0][0] == UNK_INDEX
+
+    def test_masked_component_has_neither_table_nor_vocabulary(self, tmp_path):
+        split = toy_split(20)
+        config = TrainConfig(max_epochs=1, component_mask=parse_mask("td,msg"), **FAST_CONFIG)
+        model, _ = train(split, config)
+        assert list(model.encoders) == [Component.TD, Component.MSG]
+        path = tmp_path / "model.npz"
+        save_model(model, str(path))
+        with np.load(path) as archive:
+            meta = json.loads(str(archive["meta"]))
+            assert "emb_cc" not in archive.files
+        assert list(meta["encoders"]) == ["td", "msg"]
+        assert "vocab" not in meta
+
+
 class TestMasking:
     def test_msg_masked_model_ignores_messages(self):
         split = toy_split(30)
@@ -164,7 +215,7 @@ class TestCheckpoint:
         rng = random.Random(1)
         split = split_dataset([random_sample(rng, i) for i in range(60)], seed=1)
         config = TrainConfig(
-            dim=16, min_freq=1, seed=3, batch_size=8, max_epochs=6, validate_every=1
+            dim=16, min_freq=1, seed=3, batch_size=8, max_epochs=2, validate_every=1
         )
         model, history = train(split, config)
         f1s = [-1.0 if v.val_f1 is None else v.val_f1 for v in history.validations]
@@ -182,11 +233,13 @@ class TestCheckpoint:
         assert history.validations == [] and history.best_batch == -1
         rng = np.random.default_rng(config.seed)
         active = config.active_components()
-        encoders = [init_encoder(rng, len(model.vocab), config.dim) for _ in active]
+        vocabs = [build_vocab([component_text(s, c) for s in split.train], 1) for c in active]
+        encoders = [init_encoder(rng, vocab, config.dim) for vocab in vocabs]
         mlp = init_mlp(
             rng, config.dim * len(active), default_hidden_sizes(config.dim), config.dropout_rate
         )
         assert list(model.encoders) == list(active)
+        assert [e.vocab.tokens for e in model.encoders.values()] == [v.tokens for v in vocabs]
         expected = [e.embedding for e in encoders] + mlp.weights + mlp.biases
         assert bit_equal(model_arrays(model), expected)
 
@@ -277,9 +330,9 @@ class TestPredict:
 
         vocab = make_vocab(["queue", "flush"])
         encoders = {
-            c: EncoderParams(embedding=np.zeros((len(vocab), 4))) for c in Component
+            c: EncoderParams(vocab=vocab, embedding=np.zeros((len(vocab), 4))) for c in Component
         }
-        model = ModelParams(vocab=vocab, encoders=encoders, mlp=mlp, config=config)
+        model = ModelParams(encoders=encoders, mlp=mlp, config=config)
         prediction = predict(make_sample(), model)
         assert prediction.score == 0.5
         assert prediction.status is Status.RESOLVED
