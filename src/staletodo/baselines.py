@@ -94,19 +94,18 @@ class TfidfSpace:
     weigh zero), hence the harness feeds the training split's documents.
     """
 
-    def __init__(self, background: Iterable[str] = (), use_stemming: bool = True):
-        self.use_stemming = use_stemming
+    def __init__(self, background: Iterable[str] = ()):
         self._df: dict[str, int] = {}
         self._n_background = 0
         for doc in background:
             self._n_background += 1
-            for token in set(tokenize(doc, use_stemming)):
+            for token in set(tokenize(doc)):
                 self._df[token] = self._df.get(token, 0) + 1
 
     def pair_vectors(
         self, comment: str, lines_added: str
     ) -> tuple[dict[str, float], dict[str, float]]:
-        docs = [tokenize(comment, self.use_stemming), tokenize(lines_added, self.use_stemming)]
+        docs = [tokenize(comment), tokenize(lines_added)]
         n_docs = self._n_background + 2
         vectors = []
         for i, tokens in enumerate(docs):
@@ -139,16 +138,15 @@ def irsc(
     space: Optional[TfidfSpace] = None,
 ) -> Status:
     """Resolved iff TF-IDF cosine(comment, added lines) reaches threshold."""
-    if space is None:
-        space = TfidfSpace()
-    vec_comment, vec_added = space.pair_vectors(sample.todo_comment, lines_added)
-    similarity = cosine(vec_comment, vec_added)
-    return Status.RESOLVED if similarity >= threshold else Status.UNRESOLVED
+    if irsc_similarity(sample, lines_added, space) >= threshold:
+        return Status.RESOLVED
+    return Status.UNRESOLVED
 
 
 def irsc_similarity(
     sample: TripleSample, lines_added: str, space: Optional[TfidfSpace] = None
 ) -> float:
+    """TF-IDF cosine of the TODO comment and the added lines."""
     if space is None:
         space = TfidfSpace()
     vec_comment, vec_added = space.pair_vectors(sample.todo_comment, lines_added)

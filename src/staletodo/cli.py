@@ -20,7 +20,15 @@ from .corpus import (
     split_dataset,
     write_corpus,
 )
-from .metrics import confusion, evaluate, format_report_table, metrics, report_record, status_of
+from .metrics import (
+    Status,
+    confusion,
+    evaluate,
+    format_report_table,
+    metrics,
+    report_record,
+    status_of,
+)
 from .mining import GitUnavailable, NotARepository, mine_repository, read_commits, write_commits
 from .model import (
     ExternalVectorStore,
@@ -35,7 +43,8 @@ from .model import (
 )
 from .scan import scan_repository, write_findings
 
-DEFAULT_SEED = 0
+# One seed picks the split and seeds training, so eval sees train's test split.
+DEFAULT_SEED = TrainConfig.seed
 
 
 def _fail(kind: str, detail: str) -> int:
@@ -178,14 +187,16 @@ def _cmd_eval(args) -> int:
 
 
 def _sweep_irsc(val, space) -> float:
+    """The threshold in 0.05, 0.10, ..., 0.95 with the best validation F1,
+    the lowest on ties; each sample's similarity is computed once."""
+    similarities = [bl.irsc_similarity(s, bl.added_lines_text(s.code_change), space) for s in val]
+    labels = [s.label for s in val]
     best_threshold, best_f1 = 0.3, -1.0
     for i in range(1, 20):
         threshold = i / 20
-        report = evaluate(
-            lambda s: bl.irsc(s, bl.added_lines_text(s.code_change), threshold, space),
-            val,
-        )
-        f1 = -1.0 if report.f1 is None else report.f1
+        statuses = [Status.RESOLVED if x >= threshold else Status.UNRESOLVED for x in similarities]
+        f1 = metrics(confusion(statuses, labels)).f1
+        f1 = -1.0 if f1 is None else f1
         if f1 > best_f1:
             best_threshold, best_f1 = threshold, f1
     return best_threshold
@@ -232,15 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mask", default="cc,td,msg")
-    p.add_argument("--backend", default="internal", choices=["internal", "external"])
+    p.add_argument("--backend", default=TrainConfig.backend, choices=["internal", "external"])
     p.add_argument("--vectors", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--validate-every", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--min-freq", type=int, default=2)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--validate-every", type=int, default=TrainConfig.validate_every)
+    p.add_argument("--dim", type=int, default=TrainConfig.dim)
+    p.add_argument("--min-freq", type=int, default=TrainConfig.min_freq)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate the classifier and/or baselines")

@@ -10,6 +10,7 @@ form feed inside a source line is content.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import logging
@@ -26,6 +27,8 @@ log = logging.getLogger(__name__)
 GIT_LOG_ARGS = ("-c", "core.quotePath=false", "log", "-p", "--no-color", "--no-renames", "-U3")
 
 _COMMIT_HEADER_RE = re.compile(r"^commit ([0-9a-f]{7,40})\b")
+# A commit record's keys, in the order they are written.
+_FIELDS = tuple(f.name for f in dataclasses.fields(RawCommit))
 
 
 class GitUnavailable(RuntimeError):
@@ -135,12 +138,7 @@ def write_commits(commits: Iterable[RawCommit], path: str) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for commit in commits:
-            record = {
-                "commit_id": commit.commit_id,
-                "message": commit.message,
-                "diff_text": commit.diff_text,
-                "repo": commit.repo,
-            }
+            record = {name: getattr(commit, name) for name in _FIELDS}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
             count += 1
     return count
@@ -157,11 +155,9 @@ def read_commit_stream(fh: TextIO) -> Iterator[RawCommit]:
             continue
         try:
             record = json.loads(line)
+            # repo is optional on read: RawCommit defaults it to "".
             yield RawCommit(
-                commit_id=record["commit_id"],
-                message=record["message"],
-                diff_text=record["diff_text"],
-                repo=record.get("repo", ""),
+                **{name: record[name] for name in _FIELDS if name != "repo" or name in record}
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             log.warning("skipping malformed commit record at line %d: %s", line_no, exc)

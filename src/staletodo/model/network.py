@@ -44,10 +44,6 @@ class EncoderParams:
     vocab: Vocab
     embedding: np.ndarray  # (len(vocab), dim)
 
-    @property
-    def dim(self) -> int:
-        return self.embedding.shape[1]
-
 
 @dataclass
 class MlpParams:
@@ -105,7 +101,6 @@ def mean_pool(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     PAD tokens add the PAD row, which is zero and which training never updates.
     """
-    ids = np.atleast_2d(np.asarray(ids))
     counts = np.maximum((ids != PAD_INDEX).sum(axis=1), 1)
     return table[ids].sum(axis=1) / counts[:, None]
 
@@ -125,29 +120,23 @@ class ForwardCache:
     preacts: list[np.ndarray]
     masks: list[Optional[np.ndarray]]
     scores: np.ndarray
-    part_dims: list[int]
-    squeeze: bool
 
 
 def forward(
-    h_c: Optional[np.ndarray],
-    h_t: Optional[np.ndarray],
-    h_m: Optional[np.ndarray],
+    parts: Sequence[np.ndarray],
     mlp: MlpParams,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Score one sample or a batch; returns (scores, cache).
+    """Score a batch; returns (scores, cache).
 
-    Masked components are passed as None and contribute no width. In train
-    mode an inverted-scaling dropout mask is drawn before every dense
-    layer, so inference needs no rescaling.
+    `parts` holds one (batch, width) array per active component, in
+    COMPONENT_ORDER; a masked component has no part. In train mode an
+    inverted-scaling dropout mask is drawn before every dense layer, so
+    inference needs no rescaling.
     """
-    parts = [h for h in (h_c, h_t, h_m) if h is not None]
     if not parts:
         raise ShapeMismatch("at least one component vector is required")
-    squeeze = parts[0].ndim == 1
-    parts = [np.atleast_2d(p) for p in parts]
     batch = parts[0].shape[0]
     if any(p.shape[0] != batch for p in parts):
         raise ShapeMismatch("component batches differ in size")
@@ -178,15 +167,8 @@ def forward(
 
     logits = z[:, 0]
     scores = np.clip(_sigmoid(logits), _SCORE_FLOOR, _SCORE_CEIL)
-    cache = ForwardCache(
-        layer_inputs=layer_inputs,
-        preacts=preacts,
-        masks=masks,
-        scores=scores,
-        part_dims=[p.shape[1] for p in parts],
-        squeeze=squeeze,
-    )
-    return (scores[0] if squeeze else scores), cache
+    cache = ForwardCache(layer_inputs=layer_inputs, preacts=preacts, masks=masks, scores=scores)
+    return scores, cache
 
 
 def bce_loss(score, label) -> float:
@@ -203,8 +185,8 @@ def bce_loss(score, label) -> float:
 def mlp_backward(mlp: MlpParams, cache: ForwardCache, label) -> tuple[Gradients, np.ndarray]:
     """Gradients of the mean BCE loss for the MLP, plus d(loss)/d(inputs).
 
-    The returned input gradient is split-ready: callers slice it per
-    component with cache.part_dims. Dropout masks are reused from the
+    The returned input gradient has the columns of the concatenated parts,
+    so callers slice it per component. Dropout masks are reused from the
     forward pass; scores pushed into the loss clamp get zero gradient,
     matching the implemented (clamped) loss exactly.
     """
@@ -241,8 +223,6 @@ def embedding_gradient(
     Each row's contributions are added in token order, as a scatter into a
     dense zero table would add them, so the values are bit-identical to it.
     """
-    ids = np.atleast_2d(np.asarray(ids))
-    d_h = np.atleast_2d(d_h)
     mask = ids != PAD_INDEX
     counts = np.maximum(mask.sum(axis=1), 1)
     contrib = d_h / counts[:, None]

@@ -139,7 +139,7 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamState]:
+) -> None:
     """Bias-corrected Adam; updates params and state in place."""
     state.t += 1
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -147,4 +147,3 @@ def adam_step(
             kind = RowMoments if isinstance(g, RowGradient) else DenseMoments
             state.moments[i] = kind(p.shape)
         state.moments[i].step(p, g, state.t, lr, beta1, beta2, eps)
-    return list(params), state

@@ -32,22 +32,29 @@ from .network import (
     mlp_backward,
 )
 from .optimizer import AdamState, adam_step, clip_gradients
-from .storage import ExternalVectorStore
+from .storage import EXTERNAL_DIM, ExternalVectorStore
 from .vocab import Vocab, build_vocab
 
 INTERNAL = "internal"
 EXTERNAL = "external"
-EXTERNAL_DIM = 768
 # Samples pooled and scored at once: bounds the (chunk, max_len, dim)
 # embedding gather that mean pooling makes.
 SCORE_CHUNK = 64
+# Tokens each encoder reads; longer texts are truncated.
+MAX_LEN = {Component.CC: 200, Component.TD: 30, Component.MSG: 30}
+# Each step's gradients are scaled down together to at most this global L2 norm.
+GRAD_CLIP_NORM = 2.0
+_TEXT_FIELD = {
+    Component.CC: "code_change",
+    Component.TD: "todo_comment",
+    Component.MSG: "commit_msg",
+}
 
 
 @dataclass
 class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.001
-    grad_clip_norm: float = 2.0
     validate_every: int = 1000
     max_epochs: int = 10
     seed: int = 0
@@ -55,9 +62,6 @@ class TrainConfig:
     backend: str = INTERNAL
     dim: int = 128
     min_freq: int = 2
-    max_len_cc: int = 200
-    max_len_td: int = 30
-    max_len_msg: int = 30
     hidden_sizes: Optional[tuple[int, ...]] = None
     dropout_rate: float = 0.2
 
@@ -74,13 +78,6 @@ class TrainConfig:
     def active_components(self) -> tuple[Component, ...]:
         return tuple(c for c in COMPONENT_ORDER if c in self.component_mask)
 
-    def max_len(self, component: Component) -> int:
-        return {
-            Component.CC: self.max_len_cc,
-            Component.TD: self.max_len_td,
-            Component.MSG: self.max_len_msg,
-        }[component]
-
 
 def parse_mask(spec: str) -> frozenset[Component]:
     parts = [p.strip().lower() for p in spec.split(",") if p.strip()]
@@ -88,11 +85,7 @@ def parse_mask(spec: str) -> frozenset[Component]:
 
 
 def component_text(sample: TripleSample, component: Component) -> str:
-    if component is Component.CC:
-        return sample.code_change
-    if component is Component.TD:
-        return sample.todo_comment
-    return sample.commit_msg
+    return getattr(sample, _TEXT_FIELD[component])
 
 
 @dataclass(frozen=True)
@@ -132,17 +125,15 @@ def _encode_samples(
 ) -> dict[Component, np.ndarray]:
     """Precompute per-component model inputs: id matrices, each in its own
     encoder's vocabulary, or fixed vectors."""
-    config = model.config
     encoded: dict[Component, np.ndarray] = {}
-    for component in config.active_components():
-        if config.backend == INTERNAL:
-            max_len = config.max_len(component)
+    for component in model.config.active_components():
+        if component in model.encoders:
+            max_len = MAX_LEN[component]
             vocab = model.encoders[component].vocab
-            ids = np.array(
+            encoded[component] = np.array(
                 [vocab.encode_text(component_text(s, component), max_len) for s in samples],
                 dtype=np.int64,
             )
-            encoded[component] = ids
         else:
             encoded[component] = np.stack(
                 [store.lookup(component_text(s, component)) for s in samples]
@@ -154,25 +145,13 @@ def _component_vectors(
     encoded: dict[Component, np.ndarray],
     idx: Union[np.ndarray, slice],
     model: ModelParams,
-) -> dict[Component, np.ndarray]:
-    vectors = {}
-    for component in model.config.active_components():
-        data = encoded[component][idx]
-        if model.config.backend == INTERNAL:
-            vectors[component] = mean_pool(data, model.encoders[component].embedding)
-        else:
-            vectors[component] = data
-    return vectors
-
-
-def _as_parts(
-    vectors: dict[Component, np.ndarray]
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-    return (
-        vectors.get(Component.CC),
-        vectors.get(Component.TD),
-        vectors.get(Component.MSG),
-    )
+) -> list[np.ndarray]:
+    """forward's parts for the samples at idx: each active component's ids
+    mean-pooled through its encoder, or its fixed vectors when it has none."""
+    return [
+        mean_pool(data[idx], model.encoders[c].embedding) if c in model.encoders else data[idx]
+        for c, data in encoded.items()
+    ]
 
 
 def _scores(n: int, encoded: dict[Component, np.ndarray], model: ModelParams) -> np.ndarray:
@@ -180,8 +159,8 @@ def _scores(n: int, encoded: dict[Component, np.ndarray], model: ModelParams) ->
     scores = np.empty(n)
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
-        vectors = _component_vectors(encoded, chunk, model)
-        scores[chunk], _ = forward(*_as_parts(vectors), model.mlp, train_mode=False)
+        parts = _component_vectors(encoded, chunk, model)
+        scores[chunk], _ = forward(parts, model.mlp, train_mode=False)
     return scores
 
 
@@ -230,7 +209,6 @@ def train(
         raise ValueError("external backend requires a vector store")
 
     rng = np.random.default_rng(config.seed)
-    active = config.active_components()
 
     # Each encoder has its own vocabulary, built from its own component's
     # training texts only.
@@ -238,7 +216,7 @@ def train(
     if config.backend == INTERNAL:
         vocabs = {
             c: build_vocab([component_text(s, c) for s in split.train], min_freq=config.min_freq)
-            for c in active
+            for c in config.active_components()
         }
     model = _init_model(rng, vocabs, config)
     mlp = model.mlp
@@ -283,10 +261,8 @@ def train(
         order = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             idx = order[start : start + config.batch_size]
-            vectors = _component_vectors(train_encoded, idx, model)
-            scores, cache = forward(
-                *_as_parts(vectors), mlp, train_mode=True, rng=rng
-            )
+            parts = _component_vectors(train_encoded, idx, model)
+            scores, cache = forward(parts, mlp, train_mode=True, rng=rng)
             labels = y_train[idx]
             loss = bce_loss(scores, labels)
             if not math.isfinite(loss):
@@ -294,21 +270,13 @@ def train(
                 break
             grads, d_input = mlp_backward(mlp, cache, labels)
             grad_list = list(grads.mlp_w) + list(grads.mlp_b)
-            if config.backend == INTERNAL:
-                offset = 0
-                for component in active:
-                    width = config.dim
-                    d_h = d_input[:, offset : offset + width]
-                    offset += width
-                    grad_list.append(
-                        embedding_gradient(
-                            d_h,
-                            train_encoded[component][idx],
-                            len(vocabs[component]),
-                            config.dim,
-                        )
-                    )
-            grad_list = clip_gradients(grad_list, config.grad_clip_norm)
+            # Either every part comes from an encoder or none does (external
+            # backend); each is config.dim wide and in the encoders' order.
+            for i, (component, encoder) in enumerate(model.encoders.items()):
+                d_h = d_input[:, i * config.dim : (i + 1) * config.dim]
+                ids = train_encoded[component][idx]
+                grad_list.append(embedding_gradient(d_h, ids, len(encoder.vocab), config.dim))
+            grad_list = clip_gradients(grad_list, GRAD_CLIP_NORM)
             adam_step(params_list, grad_list, adam, lr=config.learning_rate)
             batches_done += 1
             running_loss += loss

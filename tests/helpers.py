@@ -220,8 +220,8 @@ def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
     labels = rng.integers(0, 2, size=batch).astype(float)
 
     def loss_and_cache():
-        hs = [mean_pool(ids[i], tables[i]) for i in range(3)]
-        scores, cache = forward(hs[0], hs[1], hs[2], mlp, train_mode=False)
+        parts = [mean_pool(ids[i], tables[i]) for i in range(3)]
+        scores, cache = forward(parts, mlp, train_mode=False)
         return bce_loss(scores, labels), cache
 
     _, cache = loss_and_cache()

@@ -1,13 +1,18 @@
 """Command line smoke tests: mine, build, train, eval, scan."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
-from helpers import make_separable_corpus
+import staletodo.cli as cli
+from helpers import make_separable_corpus, random_sample
+from staletodo.baselines import TfidfSpace, added_lines_text, background_documents, irsc
 from staletodo.cli import main
 from staletodo.corpus import read_corpus, split_dataset, write_corpus
-from staletodo.model import build_vocab, component_text
+from staletodo.metrics import evaluate
+from staletodo.model import TrainConfig, build_vocab, component_text
 from staletodo.model.network import Component
 
 
@@ -108,6 +113,23 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "IRSC threshold swept" in out
 
+    def test_train_defaults_are_the_config_defaults(
+        self, synthetic_corpus_path, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def capture(split, config, store):
+            seen.append(config)
+            raise ValueError("stop before training")
+
+        monkeypatch.setattr(cli, "train", capture)
+        assert main(["train", "--corpus", synthetic_corpus_path, "--out", str(tmp_path)]) == 1
+        mapped = ("batch_size", "learning_rate", "validate_every", "max_epochs", "seed",
+                  "component_mask", "backend", "dim", "min_freq")
+        assert [getattr(seen[0], f) for f in mapped] == [getattr(TrainConfig(), f) for f in mapped]
+        unmapped = {f.name for f in dataclasses.fields(TrainConfig)} - set(mapped)
+        assert unmapped == {"hidden_sizes", "dropout_rate"}
+
     def test_eval_without_targets_errors(self, synthetic_corpus_path, capsys):
         code = main(["eval", "--corpus", synthetic_corpus_path])
         assert code == 1
@@ -148,3 +170,30 @@ class TestScanCommand:
     def test_scan_missing_model_file(self, scan_repo, tmp_path, capsys):
         code = main(["scan", "--repo", str(scan_repo), "--model", str(tmp_path / "no.npz")])
         assert code == 1
+
+
+def per_threshold_sweep(val, space):
+    """The sweep as one evaluate() run per threshold: the reference."""
+    best_threshold, best_f1 = 0.3, -1.0
+    for i in range(1, 20):
+        threshold = i / 20
+        report = evaluate(
+            lambda s: irsc(s, added_lines_text(s.code_change), threshold, space), val
+        )
+        f1 = -1.0 if report.f1 is None else report.f1
+        if f1 > best_f1:
+            best_threshold, best_f1 = threshold, f1
+    return best_threshold
+
+
+def test_irsc_sweep_matches_per_threshold_evaluate():
+    picked = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        samples = [random_sample(rng, i) for i in range(rng.randint(10, 60))]
+        train, val = samples[: len(samples) // 2], samples[len(samples) // 2 :]
+        space = TfidfSpace(background_documents(train))
+        threshold = cli._sweep_irsc(val, space)
+        assert threshold == per_threshold_sweep(val, space)
+        picked.add(threshold)
+    assert len(picked) > 3  # the workloads exercise more than one winner

@@ -1,13 +1,18 @@
 """Mining commit histories through the git CLI."""
 
+import io
+import json
+import logging
+
 import pytest
 
 from helpers import commit_all, git, init_repo
-from staletodo.diffs import parse_unified_diff
+from staletodo.diffs import RawCommit, parse_unified_diff
 from staletodo.mining import (
     NotARepository,
     iter_log_commits,
     mine_repository,
+    read_commit_stream,
     read_commits,
     run_git,
     write_commits,
@@ -170,3 +175,18 @@ class TestCommitPersistence:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
         assert len(list(read_commits(str(path)))) == 5
+
+    def test_record_without_repo_reads_back_with_empty_repo(self):
+        record = {"commit_id": "a" * 40, "message": "m", "diff_text": "d"}
+        stream = io.StringIO(json.dumps(record) + "\n")
+        assert list(read_commit_stream(stream)) == [RawCommit("a" * 40, "m", "d", repo="")]
+
+    def test_record_missing_a_field_skipped_with_warning(self, caplog):
+        lines = [json.dumps({"message": "m", "diff_text": "d", "repo": "r"}), "[1]"]
+        with caplog.at_level(logging.WARNING, logger="staletodo.mining"):
+            assert list(read_commit_stream(io.StringIO("\n".join(lines) + "\n"))) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping malformed commit record at line 1: 'commit_id'",
+            "skipping malformed commit record at line 2:"
+            " list indices must be integers or slices, not str",
+        ]

@@ -105,17 +105,17 @@ class TestMeanPool:
 class TestForward:
     def test_all_zero_params_give_half(self):
         mlp = zero_mlp(6, (4, 3, 2))
-        h = np.zeros(2)
-        score, _ = forward(h, h, h, mlp, train_mode=False)
-        assert score == 0.5
+        h = np.zeros((1, 2))
+        scores, _ = forward([h, h, h], mlp, train_mode=False)
+        assert scores[0] == 0.5
 
     def test_eval_mode_deterministic(self):
         rng = np.random.default_rng(0)
         mlp = init_mlp(rng, 9, (4, 4, 2))
-        h = [rng.normal(size=3) for _ in range(3)]
-        a, _ = forward(*h, mlp, train_mode=False)
-        b, _ = forward(*h, mlp, train_mode=False)
-        assert a == b
+        h = [rng.normal(size=(1, 3)) for _ in range(3)]
+        a, _ = forward(h, mlp, train_mode=False)
+        b, _ = forward(h, mlp, train_mode=False)
+        assert np.array_equal(a, b)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(12)
@@ -125,57 +125,60 @@ class TestForward:
             mlp = init_mlp(rng, sum(dims), hidden)
             for b in mlp.biases:
                 b += rng.normal(scale=0.2, size=b.shape)
-            parts = [rng.normal(size=d) for d in dims]
-            score, _ = forward(*parts, mlp, train_mode=False)
-            oracle = straight_line_score(parts, mlp.weights, mlp.biases)
-            assert math.isclose(float(score), oracle, rel_tol=1e-12)
+            parts = [rng.normal(size=(4, d)) for d in dims]
+            scores, _ = forward(parts, mlp, train_mode=False)
+            for row, score in enumerate(scores):
+                oracle = straight_line_score([p[row] for p in parts], mlp.weights, mlp.biases)
+                assert math.isclose(float(score), oracle, rel_tol=1e-12)
 
-    def test_masked_component_passed_as_none(self):
+    def test_masked_component_has_no_part(self):
         rng = np.random.default_rng(3)
         mlp = init_mlp(rng, 4, (3, 2, 2))
-        h = rng.normal(size=4)
-        score, _ = forward(None, h, None, mlp, train_mode=False)
-        assert 0.0 < float(score) < 1.0
+        h = rng.normal(size=(1, 4))
+        scores, _ = forward([h], mlp, train_mode=False)
+        assert 0.0 < float(scores[0]) < 1.0
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(3)
         mlp = init_mlp(rng, 6, (3, 2, 2))
         with pytest.raises(ShapeMismatch):
-            forward(np.zeros(4), None, None, mlp, train_mode=False)
+            forward([np.zeros((1, 4))], mlp, train_mode=False)
         with pytest.raises(ShapeMismatch):
-            forward(None, None, None, mlp, train_mode=False)
+            forward([], mlp, train_mode=False)
+        with pytest.raises(ShapeMismatch):
+            forward([np.zeros((2, 3)), np.zeros((1, 3))], mlp, train_mode=False)
 
     def test_score_stays_in_open_interval_for_huge_logits(self):
         mlp = zero_mlp(2, (2, 2, 2))
         mlp.biases[-1][:] = 1000.0
-        score_hi, _ = forward(np.zeros(2), None, None, mlp, train_mode=False)
+        score_hi, _ = forward([np.zeros((1, 2))], mlp, train_mode=False)
         mlp.biases[-1][:] = -1000.0
-        score_lo, _ = forward(np.zeros(2), None, None, mlp, train_mode=False)
-        assert 0.0 < float(score_lo) < float(score_hi) < 1.0
+        score_lo, _ = forward([np.zeros((1, 2))], mlp, train_mode=False)
+        assert 0.0 < float(score_lo[0]) < float(score_hi[0]) < 1.0
 
     def test_dropout_reproducible_with_seeded_rng(self):
         rng = np.random.default_rng(9)
         mlp = init_mlp(rng, 6, (4, 3, 2))
-        h = [np.ones(2) for _ in range(3)]
-        s1, _ = forward(*h, mlp, train_mode=True, rng=np.random.default_rng(42))
-        s2, _ = forward(*h, mlp, train_mode=True, rng=np.random.default_rng(42))
-        s3, _ = forward(*h, mlp, train_mode=True, rng=np.random.default_rng(43))
-        assert s1 == s2
-        assert s1 != s3  # different mask draw
+        h = [np.ones((1, 2)) for _ in range(3)]
+        s1, _ = forward(h, mlp, train_mode=True, rng=np.random.default_rng(42))
+        s2, _ = forward(h, mlp, train_mode=True, rng=np.random.default_rng(42))
+        s3, _ = forward(h, mlp, train_mode=True, rng=np.random.default_rng(43))
+        assert s1[0] == s2[0]
+        assert s1[0] != s3[0]  # different mask draw
 
     def test_train_mode_requires_rng(self):
         mlp = zero_mlp(3, (2, 2, 2))
         with pytest.raises(ValueError):
-            forward(np.zeros(3), None, None, mlp, train_mode=True)
+            forward([np.zeros((1, 3))], mlp, train_mode=True)
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(21)
         mlp = init_mlp(rng, 6, (4, 3, 2))
         parts = [rng.normal(size=(5, 2)) for _ in range(3)]
-        batch_scores, _ = forward(*parts, mlp, train_mode=False)
+        batch_scores, _ = forward(parts, mlp, train_mode=False)
         for i in range(5):
-            one, _ = forward(parts[0][i], parts[1][i], parts[2][i], mlp, train_mode=False)
-            assert math.isclose(float(one), float(batch_scores[i]), rel_tol=1e-12)
+            one, _ = forward([p[i : i + 1] for p in parts], mlp, train_mode=False)
+            assert math.isclose(float(one[0]), float(batch_scores[i]), rel_tol=1e-12)
 
 
 class TestLoss:
@@ -212,12 +215,12 @@ class TestBackward:
         mlp = init_mlp(rng, 6, (4, 3, 2))
         for b in mlp.biases:
             b += rng.normal(scale=0.2, size=b.shape)
-        h = [rng.normal(size=2) for _ in range(3)]
-        score, cache = forward(*h, mlp, train_mode=False)
+        h = [rng.normal(size=(1, 2)) for _ in range(3)]
+        scores, cache = forward(h, mlp, train_mode=False)
         for label in (0.0, 1.0):
             grads, _ = mlp_backward(mlp, cache, np.array([label]))
             assert math.isclose(
-                float(grads.mlp_b[-1][0]), float(score) - label, rel_tol=1e-12
+                float(grads.mlp_b[-1][0]), float(scores[0]) - label, rel_tol=1e-12
             )
 
     def test_gradients_match_finite_differences(self):
@@ -229,15 +232,15 @@ class TestBackward:
         # cannot influence the loss; reuse the cached mask to verify
         rng = np.random.default_rng(11)
         mlp = init_mlp(rng, 4, (3, 2, 2))
-        h = rng.normal(size=4)
-        score, cache = forward(h, None, None, mlp, train_mode=True, rng=np.random.default_rng(1))
+        h = rng.normal(size=(1, 4))
+        _, cache = forward([h], mlp, train_mode=True, rng=np.random.default_rng(1))
         grads, d_input = mlp_backward(mlp, cache, np.array([1.0]))
         dropped = cache.masks[0][0] == 0.0
         assert np.all(d_input[0][dropped] == 0.0)
 
     def test_label_length_mismatch(self):
         mlp = zero_mlp(3, (2, 2, 2))
-        _, cache = forward(np.zeros((2, 3)), None, None, mlp, train_mode=False)
+        _, cache = forward([np.zeros((2, 3))], mlp, train_mode=False)
         with pytest.raises(ShapeMismatch):
             mlp_backward(mlp, cache, np.array([1.0]))
 

@@ -136,6 +136,26 @@ class TestModelFileChecks:
             load_model(path)
 
 
+    def test_format_3_file_with_the_former_config_fields_loads(self, trained, tmp_path):
+        # Files written while max_len_* and grad_clip_norm were config
+        # fields echo them, in the config's field order of that time.
+        order = ("batch_size", "learning_rate", "grad_clip_norm", "validate_every",
+                 "max_epochs", "seed", "component_mask", "backend", "dim", "min_freq",
+                 "max_len_cc", "max_len_td", "max_len_msg", "hidden_sizes", "dropout_rate")
+        former = {"grad_clip_norm": 2.0, "max_len_cc": 200, "max_len_td": 30, "max_len_msg": 30}
+
+        def add_former_fields(meta, arrays):
+            assert not former.keys() & meta["config"].keys()
+            config = {**meta["config"], **former}
+            meta["config"] = {name: config[name] for name in order}
+
+        model, split = trained
+        loaded = load_model(edited_model_file(model, tmp_path, add_former_fields))
+        assert loaded.config == model.config
+        test = list(split.test)
+        assert np.array_equal(predict_scores(test, loaded), predict_scores(test, model))
+
+
 class TestTextHash:
     def test_sha256_lowercase_hex(self):
         text = "todo: flush the queue"
