@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .comments import (
-    DEFAULT_CONTEXT_LINES,
     CodeChange,
     Language,
     TodoComment,
@@ -147,7 +146,6 @@ def label_triple(
 def extract_triple(
     commit: RawCommit,
     languages: Collection[Language],
-    context_lines: int = DEFAULT_CONTEXT_LINES,
     kinds: Collection[LineKind] = tuple(LineKind),
 ) -> Union[tuple[TripleSample, TodoComment, str], str, None]:
     """Run the commit-to-triple pipeline on one commit.
@@ -173,7 +171,7 @@ def extract_triple(
         return "no_single_todo"
     if todo.line.kind not in kinds:
         return "other_kind"
-    if not associate(todo, norm, context_lines):
+    if not associate(todo, norm):
         return "unassociated"
     cc = carve_code_change(norm, todo)
     if not cc.rendered.strip():
@@ -189,16 +187,14 @@ def extract_triple(
 
 
 def build_triples(
-    commits: Iterable[RawCommit],
-    language: Language,
-    context_lines: int = DEFAULT_CONTEXT_LINES,
+    commits: Iterable[RawCommit], language: Language
 ) -> tuple[list[TripleSample], BuildCounts]:
     """Build the corpus of one language, counting every drop."""
     counts = BuildCounts()
     samples: list[TripleSample] = []
     for commit in commits:
         counts.commits_seen += 1
-        result = extract_triple(commit, (language,), context_lines)
+        result = extract_triple(commit, (language,))
         if result is None:
             continue
         counts.todo_commits += 1

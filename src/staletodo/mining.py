@@ -3,7 +3,8 @@
 Consumes the textual ``git log -p --no-color --no-renames -U3`` stream and
 segments it into RawCommits. Messages are the 4-space-indented block, the
 diff is everything from the first "diff --git" to the next commit header.
-Using -U3 pins the three context lines the TODO association step assumes.
+The -U option pins the diff's context lines to the
+comments.DEFAULT_CONTEXT_LINES (three) that TODO association assumes.
 Git output is read as UTF-8 with "\n" as the only line break: a "\r" or a
 form feed inside a source line is content.
 """
@@ -19,12 +20,16 @@ import subprocess
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
+from .comments import DEFAULT_CONTEXT_LINES
 from .diffs import RawCommit
 
 log = logging.getLogger(__name__)
 
 # core.quotePath=false keeps non-ASCII paths unquoted in diff headers.
-GIT_LOG_ARGS = ("-c", "core.quotePath=false", "log", "-p", "--no-color", "--no-renames", "-U3")
+GIT_LOG_ARGS = (
+    "-c", "core.quotePath=false", "log", "-p", "--no-color", "--no-renames",
+    f"-U{DEFAULT_CONTEXT_LINES}",
+)
 
 _COMMIT_HEADER_RE = re.compile(r"^commit ([0-9a-f]{7,40})\b")
 # A commit record's keys, in the order they are written.

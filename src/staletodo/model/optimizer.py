@@ -2,17 +2,24 @@
 
 A gradient is either a dense array shaped like its parameter or a
 RowGradient: the gradient of an embedding table, which is zero outside the
-few rows a batch used. Adam on a RowGradient does work in proportion to the
-rows any step has touched so far, and gives the same bits as dense Adam on
-the same gradient made dense.
+few rows a batch used. Adam keeps two moments shaped like each parameter.
+Each step decays every row of both, adds the gradient into the rows it
+holds, and updates the parameter BLOCK_ROWS rows at a time, so no temporary
+is as large as an embedding table. A RowGradient gives the same bits as
+dense Adam on the same gradient made dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+# Rows per block of the parameter update. A 1024 x 128 block of float64 is
+# 1 MiB, so the update's temporaries take a few MiB whatever the table's
+# size, and stay in cache from one operation to the next.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,7 @@ def global_norm(arrays: Sequence[Gradient]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(arrays: Sequence[Gradient], max_norm: float = 2.0) -> list[Gradient]:
+def clip_gradients(arrays: Sequence[Gradient], max_norm: float) -> list[Gradient]:
     """Scale all gradients down together when their global L2 norm exceeds
     max_norm; otherwise return them unchanged."""
     norm = global_norm(arrays)
@@ -54,81 +61,17 @@ def clip_gradients(arrays: Sequence[Gradient], max_norm: float = 2.0) -> list[Gr
     ]
 
 
-class DenseMoments:
-    """Adam moments of a parameter with dense gradients."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-
-    def step(self, p, g, t, lr, beta1, beta2, eps) -> None:
-        self.m = beta1 * self.m + (1.0 - beta1) * g
-        self.v = beta2 * self.v + (1.0 - beta2) * np.square(g)
-        m_hat = self.m / (1.0 - beta1**t)
-        v_hat = self.v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-class RowMoments:
-    """Adam moments of the rows of a table that some step has touched.
-
-    This gives the same bits as dense Adam for two reasons. A row with a
-    zero gradient gets b1*m + (1-b1)*0 == b1*m exactly, so decaying every
-    stored row and then adding (1-b1)*g into the touched ones is the dense
-    update. A row no step has touched has m == v == 0, so its update is
-    exactly zero and it needs neither storage nor work. Rows take slots in
-    the order they are first touched. The buffers are sized for the whole
-    table, but numpy allocates them lazily from the system, so only the
-    slots in use take memory.
-    """
-
-    def __init__(self, shape: tuple[int, int]):
-        num_rows, _ = shape
-        self.slot = np.full(num_rows, -1, dtype=np.int64)
-        self.rows = np.empty(num_rows, dtype=np.int64)
-        self.count = 0
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self._num = np.empty(shape)
-        self._den = np.empty(shape)
-
-    def step(self, p, g: RowGradient, t, lr, beta1, beta2, eps) -> None:
-        new = g.rows[self.slot[g.rows] < 0]
-        start, n = self.count, self.count + new.size
-        self.slot[new] = np.arange(start, n)
-        self.rows[start:n] = new
-        self.count = n
-
-        m, v = self.m[:n], self.v[:n]
-        m *= beta1
-        v *= beta2
-        slots = self.slot[g.rows]
-        m[slots] += (1.0 - beta1) * g.values
-        v[slots] += (1.0 - beta2) * np.square(g.values)
-
-        # lr * m_hat / (sqrt(v_hat) + eps), one operation at a time in the
-        # dense formula's order.
-        num, den = self._num[:n], self._den[:n]
-        np.divide(m, 1.0 - beta1**t, out=num)
-        np.multiply(lr, num, out=num)
-        np.divide(v, 1.0 - beta2**t, out=den)
-        np.sqrt(den, out=den)
-        den += eps
-        num /= den
-        p[self.rows[:n]] -= num
-
-
 @dataclass
 class AdamState:
-    """Per-parameter moments, made at a parameter's first step to suit the
-    kind of gradient it gets."""
+    """First and second moments shaped like each parameter, and the step count."""
 
-    moments: list[Union[DenseMoments, RowMoments, None]] = field(default_factory=list)
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray]) -> "AdamState":
-        return cls(moments=[None] * len(params), t=0)
+        return cls(m=[np.zeros(p.shape) for p in params], v=[np.zeros(p.shape) for p in params])
 
 
 def adam_step(
@@ -140,10 +83,25 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam; updates params and state in place."""
+    """Bias-corrected Adam; updates params and state in place.
+
+    A RowGradient gives the same bits as dense Adam for two reasons. A row
+    with a zero gradient gets b1*m + (1-b1)*0 == b1*m exactly, so decaying
+    every row and then adding (1-b1)*g into the gradient's rows runs the
+    dense formula's operations in its order. A row no step has touched has
+    m == v == 0, so its update is lr*0 / (0 + eps) == 0 and leaves it as it
+    is. The update lr * m_hat / (sqrt(v_hat) + eps) runs one block of rows
+    at a time, in the dense formula's order.
+    """
     state.t += 1
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if state.moments[i] is None:
-            kind = RowMoments if isinstance(g, RowGradient) else DenseMoments
-            state.moments[i] = kind(p.shape)
-        state.moments[i].step(p, g, state.t, lr, beta1, beta2, eps)
+    c1 = 1.0 - beta1**state.t
+    c2 = 1.0 - beta2**state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        rows, g = (g.rows, g.values) if isinstance(g, RowGradient) else (slice(None), g)
+        m *= beta1
+        v *= beta2
+        m[rows] += (1.0 - beta1) * g
+        v[rows] += (1.0 - beta2) * np.square(g)
+        for start in range(0, len(p), BLOCK_ROWS):
+            b = slice(start, start + BLOCK_ROWS)
+            p[b] -= lr * (m[b] / c1) / (np.sqrt(v[b] / c2) + eps)

@@ -60,14 +60,12 @@ def normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def candidate_triples(
-    commits: Iterable, context_lines: int = 3
-) -> list[tuple[TripleSample, TodoComment, str]]:
+def candidate_triples(commits: Iterable) -> list[tuple[TripleSample, TodoComment, str]]:
     """Context-line TODO triples from a commit stream, with their file."""
     languages = tuple(Language)
     out = []
     for commit in commits:
-        result = extract_triple(commit, languages, context_lines, kinds=(LineKind.CONTEXT,))
+        result = extract_triple(commit, languages, kinds=(LineKind.CONTEXT,))
         if isinstance(result, tuple):
             out.append(result)
     return out
@@ -98,7 +96,6 @@ def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
 def scan_repository(
     repo_path: str,
     score: Callable[[Sequence[TripleSample]], Sequence[float]],
-    context_lines: int = 3,
 ) -> list[ScanFinding]:
     """Find TODO comments some commit resolved but nobody removed.
 
@@ -107,7 +104,7 @@ def scan_repository(
     repository.
     """
     commits = mine_repository(repo_path)
-    triples = candidate_triples(commits, context_lines)
+    triples = candidate_triples(commits)
     scores = score([sample for sample, _, _ in triples])
 
     # (file, text) -> (score, sample): same-text TODOs in two files stay apart.

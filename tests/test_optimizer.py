@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from staletodo.model import AdamState, RowGradient, adam_step, clip_gradients, global_norm
 from staletodo.model.network import embedding_gradient
@@ -68,34 +70,65 @@ class TestRowGradients:
             assert np.allclose(out[1].to_dense(), dense[1], rtol=1e-12, atol=0.0)
             assert global_norm(out) <= 2.0 + 1e-9
 
-    def test_adam_matches_dense_adam_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "vocab, untouched, boundary",
+        [(40, 30, ()), (2600, 2200, (1023, 1024, 2047, 2048))],
+        ids=["one-block", "three-blocks"],
+    )
+    def test_adam_matches_dense_adam_bit_for_bit(self, vocab, untouched, boundary):
         # Row 1 is touched only in the first step and then only decays; rows
-        # 30 and up are never touched; ids repeat within every batch.
+        # `untouched` and up are never touched; ids repeat within every batch.
+        # The 2,600-row table spans two full update blocks and a partial one,
+        # and every batch touches the rows on both sides of each block edge.
         rng = np.random.default_rng(17)
-        vocab, dim = 40, 6
+        dim = 6
         table = rng.uniform(-0.05, 0.05, size=(vocab, dim))
         weight = rng.normal(size=(dim, 3))
-        sparse = [weight.copy(), table.copy()]
-        dense = [weight.copy(), table.copy()]
+        bias = rng.normal(size=3)
+        sparse = [weight.copy(), bias.copy(), table.copy()]
+        dense = [weight.copy(), bias.copy(), table.copy()]
         sparse_state = AdamState.for_params(sparse)
         dense_state = AdamState.for_params(dense)
         row_one = []
         for step in range(30):
-            ids = rng.integers(2, 30, size=(4, 10))
+            ids = rng.integers(2, untouched, size=(4, 10))
             ids[rng.random(ids.shape) < 0.2] = PAD_INDEX
             if step == 0:
                 ids[0, 0] = 1
+            ids[1, : len(boundary)] = boundary
+            ids[2, : len(boundary)] = boundary
             used = ids[ids != PAD_INDEX]
             assert np.unique(used).size < used.size
             grad = embedding_gradient(rng.normal(size=(4, dim)), ids, vocab, dim)
             w_grad = rng.normal(size=weight.shape)
-            adam_step(sparse, [w_grad, grad], sparse_state, lr=0.01)
-            adam_step(dense, [w_grad, grad.to_dense()], dense_state, lr=0.01)
+            b_grad = rng.normal(size=bias.shape)
+            adam_step(sparse, [w_grad, b_grad, grad], sparse_state, lr=0.01)
+            adam_step(dense, [w_grad, b_grad, grad.to_dense()], dense_state, lr=0.01)
             assert np.array_equal(sparse[0], dense[0])
             assert np.array_equal(sparse[1], dense[1])
-            row_one.append(sparse[1][1].copy())
-        assert np.array_equal(sparse[1][30:], table[30:])
+            assert np.array_equal(sparse[2], dense[2])
+            row_one.append(sparse[2][1].copy())
+        assert np.array_equal(sparse[2][untouched:], table[untouched:])
         assert not np.array_equal(row_one[-2], row_one[-1])
+
+    def test_adam_step_allocates_far_less_than_the_table(self):
+        # Once every row has moments, a step over a few rows still updates
+        # the table in blocks rather than through a table-sized temporary.
+        rng = np.random.default_rng(18)
+        num_rows, dim = 20_000, 128
+        table = rng.uniform(-0.05, 0.05, size=(num_rows, dim))
+        state = AdamState.for_params([table])
+        every_row = RowGradient(np.arange(num_rows), rng.normal(size=(num_rows, dim)), num_rows)
+        adam_step([table], [every_row], state)
+        rows = np.sort(rng.choice(num_rows, size=500, replace=False))
+        grad = RowGradient(rows, rng.normal(size=(rows.size, dim)), num_rows)
+        tracemalloc.start()
+        try:
+            adam_step([table], [grad], state)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < table.nbytes / 4
 
 
 def reference_adam(params, grad_fn, steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
