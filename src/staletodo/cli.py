@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Callable, Optional, Sequence
@@ -90,17 +91,9 @@ def _load_store(args) -> Optional[ExternalVectorStore]:
 def _cmd_train(args) -> int:
     samples = read_corpus(args.corpus)
     split = split_dataset(samples, seed=args.seed)
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        validate_every=args.validate_every,
-        max_epochs=args.epochs,
-        seed=args.seed,
-        component_mask=parse_mask(args.mask),
-        backend=args.backend,
-        dim=args.dim,
-        min_freq=args.min_freq,
-    )
+    # Each train option's dest is a TrainConfig field name.
+    options = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
+    config = TrainConfig(**{**options, "component_mask": parse_mask(args.component_mask)})
     store = _load_store(args)
     model, history = train(split, config, store)
     save_model(model, args.out)
@@ -242,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the classifier on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mask", default="cc,td,msg")
+    # No type= for --mask: an unknown name is a ValueError record, not a usage error.
+    p.add_argument("--mask", dest="component_mask", default="cc,td,msg")
     p.add_argument("--backend", default=TrainConfig.backend, choices=["internal", "external"])
     p.add_argument("--vectors", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--epochs", dest="max_epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--validate-every", type=int, default=TrainConfig.validate_every)

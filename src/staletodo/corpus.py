@@ -294,6 +294,9 @@ def read_corpus(path: str) -> list[TripleSample]:
             missing = [f for f in _FIELDS if f not in record]
             if missing:
                 raise SchemaViolation(line_no, f"missing fields: {', '.join(missing)}")
+            not_text = [f for f in _FIELDS if not _FIELDS[f] and not isinstance(record[f], str)]
+            if not_text:
+                raise SchemaViolation(line_no, f"not strings: {', '.join(not_text)}")
             try:
                 sample = TripleSample(**{
                     name: enum(record[name]) if enum else record[name]

@@ -161,9 +161,11 @@ def read_commit_stream(fh: TextIO) -> Iterator[RawCommit]:
         try:
             record = json.loads(line)
             # repo is optional on read: RawCommit defaults it to "".
-            yield RawCommit(
-                **{name: record[name] for name in _FIELDS if name != "repo" or name in record}
-            )
+            fields = {name: record[name] for name in _FIELDS if name != "repo" or name in record}
+            not_text = [name for name, value in fields.items() if not isinstance(value, str)]
+            if not_text:
+                raise TypeError(f"not strings: {', '.join(not_text)}")
+            yield RawCommit(**fields)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             log.warning("skipping malformed commit record at line %d: %s", line_no, exc)
             continue

@@ -19,6 +19,8 @@ from .optimizer import RowGradient
 from .vocab import PAD_INDEX, Vocab
 
 LOSS_EPS = 1e-7
+# Share of each dense layer's inputs that training drops.
+DROPOUT_RATE = 0.2
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
 _SCORE_CEIL = np.nextafter(1.0, 0.0)
 
@@ -49,7 +51,6 @@ class EncoderParams:
 class MlpParams:
     weights: list[np.ndarray]  # weights[i]: (in_dim, out_dim)
     biases: list[np.ndarray]
-    dropout_rate: float = 0.2
 
     @property
     def input_dim(self) -> int:
@@ -80,12 +81,7 @@ def init_encoder(rng: np.random.Generator, vocab: Vocab, dim: int) -> EncoderPar
     return EncoderParams(vocab=vocab, embedding=table)
 
 
-def init_mlp(
-    rng: np.random.Generator,
-    input_dim: int,
-    hidden_sizes: Sequence[int],
-    dropout_rate: float = 0.2,
-) -> MlpParams:
+def init_mlp(rng: np.random.Generator, input_dim: int, hidden_sizes: Sequence[int]) -> MlpParams:
     sizes = [input_dim, *hidden_sizes, 1]
     weights = []
     biases = []
@@ -93,7 +89,7 @@ def init_mlp(
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(weights=weights, biases=biases, dropout_rate=dropout_rate)
+    return MlpParams(weights=weights, biases=biases)
 
 
 def mean_pool(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -125,15 +121,14 @@ class ForwardCache:
 def forward(
     parts: Sequence[np.ndarray],
     mlp: MlpParams,
-    train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
 ):
     """Score a batch; returns (scores, cache).
 
     `parts` holds one (batch, width) array per active component, in
-    COMPONENT_ORDER; a masked component has no part. In train mode an
-    inverted-scaling dropout mask is drawn before every dense layer, so
-    inference needs no rescaling.
+    COMPONENT_ORDER; a masked component has no part. Given an rng, an
+    inverted-scaling dropout mask is drawn from it before every dense
+    layer, so inference, which passes none, needs no rescaling.
     """
     if not parts:
         raise ShapeMismatch("at least one component vector is required")
@@ -145,16 +140,14 @@ def forward(
         raise ShapeMismatch(
             f"concatenated width {z.shape[1]} != mlp input width {mlp.input_dim}"
         )
-    if train_mode and rng is None:
-        raise ValueError("train_mode requires an rng for dropout")
 
     layer_inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
     masks: list[Optional[np.ndarray]] = []
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        if train_mode and mlp.dropout_rate > 0.0:
-            keep = 1.0 - mlp.dropout_rate
+        if rng is not None:
+            keep = 1.0 - DROPOUT_RATE
             mask = (rng.random(z.shape) < keep) / keep
             z = z * mask
         else:

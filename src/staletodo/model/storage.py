@@ -1,9 +1,11 @@
 """Model container files and the external-embedding interchange format.
 
-The model file is a numpy .npz archive: arrays stay bit-exact and a JSON
-header carries each encoder's vocabulary (in component order), the config
-echo and a format version. It holds no optimizer state, and an
-external-backend model holds no vocabulary.
+The model file is a numpy .npz archive: each parameter is a bit-exact array
+under its ModelParams.arrays name, the layers' count and widths included,
+and a JSON header holds only the format version, the config echo and each
+encoder's vocabulary (in component order). It holds no optimizer state, and
+an external-backend model holds no vocabulary. A missing entry or an array
+nothing reads raises ModelFileError.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -99,31 +101,20 @@ def write_external_vectors(path: str, records: Iterable[tuple[str, np.ndarray]])
 
 
 def save_model(model, path: str) -> None:
-    from .network import COMPONENT_ORDER  # local import avoids a cycle
-
     config = dataclasses.asdict(model.config)
     config["component_mask"] = sorted(c.value for c in config["component_mask"])
-    encoders = [(c, model.encoders[c]) for c in COMPONENT_ORDER if c in model.encoders]
     meta = {
         "format_version": FORMAT_VERSION,
         "config": config,
-        "n_layers": len(model.mlp.weights),
-        "encoders": {c.value: list(e.vocab.tokens) for c, e in encoders},
+        "encoders": {c.value: list(e.vocab.tokens) for c, e in model.encoders.items()},
     }
-    arrays: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
-        arrays[f"mlp_w{i}"] = w
-        arrays[f"mlp_b{i}"] = b
-    for component, encoder in encoders:
-        arrays[f"emb_{component.value}"] = encoder.embedding
-
     # A file object, not a path: np.savez would append ".npz" to a path.
     with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        np.savez(fh, meta=np.array(json.dumps(meta)), **model.arrays())
 
 
 def load_model(path: str):
-    from .network import Component, EncoderParams, MlpParams
+    from .network import Component
     from .training import INTERNAL, ModelParams, TrainConfig
     from .vocab import make_vocab
 
@@ -139,35 +130,39 @@ def load_model(path: str):
             )
         if version != FORMAT_VERSION:
             raise ModelFileError(f"unsupported model format version {version!r}")
-        cfg = {f.name: meta["config"][f.name] for f in dataclasses.fields(TrainConfig)}
+        try:
+            # Extra config keys, such as those of former fields, are ignored.
+            cfg = {f.name: meta["config"][f.name] for f in dataclasses.fields(TrainConfig)}
+            encoder_tokens = meta["encoders"]
+        except KeyError as exc:
+            raise ModelFileError(f"model meta lacks {exc}") from None
         cfg["component_mask"] = frozenset(Component(v) for v in cfg["component_mask"])
-        if cfg["hidden_sizes"] is not None:
-            cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
         config = TrainConfig(**cfg)
-        weights = [archive[f"mlp_w{i}"] for i in range(meta["n_layers"])]
-        biases = [archive[f"mlp_b{i}"] for i in range(meta["n_layers"])]
-        encoders = {}
-        for name, tokens in meta["encoders"].items():
+        vocabs = {}
+        for name, tokens in encoder_tokens.items():
             try:
                 component = Component(name)
             except ValueError:
                 raise ModelFileError(f"unknown encoder {name!r}") from None
-            vocab = make_vocab(tokens)
-            table = archive[f"emb_{name}"]
-            if len(vocab) != table.shape[0]:
-                raise ModelFileError(
-                    f"encoder {name!r}: {len(vocab)} vocabulary tokens"
-                    f" for {table.shape[0]} table rows"
-                )
-            encoders[component] = EncoderParams(vocab=vocab, embedding=table)
+            vocabs[component] = make_vocab(tokens)
         expected = config.active_components() if config.backend == INTERNAL else ()
-        if tuple(encoders) != expected:
+        if tuple(vocabs) != expected:
             raise ModelFileError(
-                f"encoders {[c.value for c in encoders]} do not match the config's"
+                f"encoders {[c.value for c in vocabs]} do not match the config's"
                 f" {[c.value for c in expected]}"
             )
-    return ModelParams(
-        encoders=encoders,
-        mlp=MlpParams(weights=weights, biases=biases, dropout_rate=config.dropout_rate),
-        config=config,
-    )
+        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+    try:
+        model = ModelParams.from_arrays(arrays, vocabs, config)
+    except KeyError as exc:
+        raise ModelFileError(f"model file lacks array {exc}") from None
+    unread = sorted(arrays.keys() - model.arrays().keys())
+    if unread:
+        raise ModelFileError(f"model file has arrays no layer or encoder reads: {unread}")
+    for component, encoder in model.encoders.items():
+        if len(encoder.vocab) != encoder.embedding.shape[0]:
+            raise ModelFileError(
+                f"encoder {component.value!r}: {len(encoder.vocab)} vocabulary tokens"
+                f" for {encoder.embedding.shape[0]} table rows"
+            )
+    return model

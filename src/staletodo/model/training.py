@@ -5,13 +5,16 @@ and dropout all come from one generator, and the validation history is
 bit-identical across runs. Every validate_every batches the validation F1
 is computed and the best-scoring parameters (earliest on ties) are the
 ones returned.
+
+ModelParams.arrays names every parameter once, for the model file, the
+checkpoint and Adam. TrainConfig's fields are exactly the `train` options.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,8 +65,6 @@ class TrainConfig:
     backend: str = INTERNAL
     dim: int = 128
     min_freq: int = 2
-    hidden_sizes: Optional[tuple[int, ...]] = None
-    dropout_rate: float = 0.2
 
     def __post_init__(self):
         if not self.component_mask:
@@ -113,9 +114,34 @@ class TrainHistory:
 
 @dataclass
 class ModelParams:
-    encoders: dict[Component, EncoderParams]  # empty for the external backend
+    encoders: dict[Component, EncoderParams]  # in COMPONENT_ORDER; empty for the external backend
     mlp: MlpParams
     config: TrainConfig
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter, not copied, under its model-file name: mlp_w0...,
+        mlp_b0..., then emb_<component>. global_norm sums in this order."""
+        named = {f"mlp_w{i}": w for i, w in enumerate(self.mlp.weights)}
+        named.update({f"mlp_b{i}": b for i, b in enumerate(self.mlp.biases)})
+        named.update({f"emb_{c.value}": e.embedding for c, e in self.encoders.items()})
+        return named
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], vocabs: dict[Component, Vocab], config: TrainConfig
+    ) -> ModelParams:
+        """The inverse of arrays(), with one vocabulary per encoder; the
+        mlp_w* names give the layer count. A missing name raises KeyError."""
+        n_layers = sum(1 for name in arrays if name.startswith("mlp_w"))
+        mlp = MlpParams(
+            weights=[arrays[f"mlp_w{i}"] for i in range(n_layers)],
+            biases=[arrays[f"mlp_b{i}"] for i in range(n_layers)],
+        )
+        encoders = {
+            c: EncoderParams(vocab=vocab, embedding=arrays[f"emb_{c.value}"])
+            for c, vocab in vocabs.items()
+        }
+        return cls(encoders=encoders, mlp=mlp, config=config)
 
 
 def _encode_samples(
@@ -160,7 +186,7 @@ def _scores(n: int, encoded: dict[Component, np.ndarray], model: ModelParams) ->
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
         parts = _component_vectors(encoded, chunk, model)
-        scores[chunk], _ = forward(parts, model.mlp, train_mode=False)
+        scores[chunk], _ = forward(parts, model.mlp)
     return scores
 
 
@@ -170,25 +196,9 @@ def _init_model(
     """Draw the initial parameters: one table per vocabulary (in
     COMPONENT_ORDER), then the MLP."""
     encoders = {c: init_encoder(rng, vocab, config.dim) for c, vocab in vocabs.items()}
-    hidden = config.hidden_sizes or default_hidden_sizes(config.dim)
-    mlp = init_mlp(rng, config.dim * len(config.active_components()), hidden, config.dropout_rate)
+    input_dim = config.dim * len(config.active_components())
+    mlp = init_mlp(rng, input_dim, default_hidden_sizes(config.dim))
     return ModelParams(encoders=encoders, mlp=mlp, config=config)
-
-
-def _copy_model(model: ModelParams) -> ModelParams:
-    mlp = model.mlp
-    return ModelParams(
-        encoders={
-            c: EncoderParams(vocab=e.vocab, embedding=e.embedding.copy())
-            for c, e in model.encoders.items()
-        },
-        mlp=MlpParams(
-            weights=[w.copy() for w in mlp.weights],
-            biases=[b.copy() for b in mlp.biases],
-            dropout_rate=mlp.dropout_rate,
-        ),
-        config=model.config,
-    )
 
 
 def train(
@@ -226,9 +236,7 @@ def train(
     y_train = np.array([1.0 if s.label is Label.POSITIVE else 0.0 for s in split.train])
     val_labels = [s.label for s in split.val]
 
-    params_list = list(mlp.weights) + list(mlp.biases) + [
-        e.embedding for e in model.encoders.values()
-    ]
+    params_list = list(model.arrays().values())
     adam = AdamState.for_params(params_list)
 
     history = TrainHistory()
@@ -253,7 +261,8 @@ def train(
         if comparable > best_f1:
             best_f1 = comparable
             best = None  # free the old checkpoint before copying the new one
-            best = _copy_model(model)
+            copies = {name: a.copy() for name, a in model.arrays().items()}
+            best = ModelParams.from_arrays(copies, vocabs, config)
             history.best_batch = batches_done
 
     diverged = False
@@ -262,7 +271,7 @@ def train(
         for start in range(0, n_train, config.batch_size):
             idx = order[start : start + config.batch_size]
             parts = _component_vectors(train_encoded, idx, model)
-            scores, cache = forward(parts, mlp, train_mode=True, rng=rng)
+            scores, cache = forward(parts, mlp, rng=rng)
             labels = y_train[idx]
             loss = bce_loss(scores, labels)
             if not math.isfinite(loss):

@@ -212,7 +212,7 @@ def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
     for table in tables:
         table[PAD_INDEX] = 0.0  # as init_encoder leaves it; training never moves it
     ids = [rng.integers(0, vocab_size, size=(batch, max_len)) for _ in range(3)]
-    mlp = init_mlp(rng, dim * 3, hidden, dropout_rate=0.0)
+    mlp = init_mlp(rng, dim * 3, hidden)
     # zero-init biases would park ReLU preactivations exactly on the kink
     # (non-differentiable, FD invalid); check at a generic point instead
     for b in mlp.biases:
@@ -221,7 +221,7 @@ def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
 
     def loss_and_cache():
         parts = [mean_pool(ids[i], tables[i]) for i in range(3)]
-        scores, cache = forward(parts, mlp, train_mode=False)
+        scores, cache = forward(parts, mlp)
         return bce_loss(scores, labels), cache
 
     _, cache = loss_and_cache()

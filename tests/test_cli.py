@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
 import staletodo.cli as cli
@@ -123,12 +124,35 @@ class TestTrainEval:
             raise ValueError("stop before training")
 
         monkeypatch.setattr(cli, "train", capture)
-        assert main(["train", "--corpus", synthetic_corpus_path, "--out", str(tmp_path)]) == 1
-        mapped = ("batch_size", "learning_rate", "validate_every", "max_epochs", "seed",
-                  "component_mask", "backend", "dim", "min_freq")
-        assert [getattr(seen[0], f) for f in mapped] == [getattr(TrainConfig(), f) for f in mapped]
-        unmapped = {f.name for f in dataclasses.fields(TrainConfig)} - set(mapped)
-        assert unmapped == {"hidden_sizes", "dropout_rate"}
+        argv = ["train", "--corpus", synthetic_corpus_path, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert seen == [TrainConfig()]
+        # Every config field is a train option, under the field's own name.
+        options = vars(cli.build_parser().parse_args(argv))
+        unmapped = {f.name for f in dataclasses.fields(TrainConfig)} - options.keys()
+        assert unmapped == set()
+
+    @pytest.mark.parametrize("mask", ["foo", ","])
+    def test_bad_mask_is_a_value_error_record(self, synthetic_corpus_path, tmp_path, mask, capsys):
+        argv = ["train", "--corpus", synthetic_corpus_path, "--out", str(tmp_path / "m.npz"),
+                "--mask", mask]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "valueerror"
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_malformed_model_file_is_a_model_file_error_record(
+        self, synthetic_corpus_path, model_path, tmp_path, capsys
+    ):
+        with np.load(model_path) as archive:
+            arrays = {name: archive[name] for name in archive.files if name != "mlp_b1"}
+        path = str(tmp_path / "model.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert main(["eval", "--corpus", synthetic_corpus_path, "--model", path]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "modelfileerror"
+        assert "mlp_b1" in record["detail"]
 
     def test_eval_without_targets_errors(self, synthetic_corpus_path, capsys):
         code = main(["eval", "--corpus", synthetic_corpus_path])

@@ -220,6 +220,24 @@ class TestCorpusRoundTrip:
         assert exc.value.line_no == 1
         assert "label" in str(exc.value)
 
+    def test_text_field_that_is_not_a_string_raises_schema_violation(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        record = {
+            "repo": "r",
+            "commit_id": "c",
+            "todo_comment": "todo x",
+            "code_change": "+y",
+            "commit_msg": "m.",
+            "label": "negative",
+            "todo_line_kind": "context",
+        }
+        bad = {**record, "code_change": 5}
+        path.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation) as exc:
+            read_corpus(str(path))
+        assert exc.value.line_no == 2
+        assert "code_change" in str(exc.value)
+
     def test_bad_json_reports_line(self, tmp_path):
         good = make_sample()
         path = tmp_path / "bad2.jsonl"

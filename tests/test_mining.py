@@ -168,13 +168,19 @@ class TestCommitPersistence:
         assert write_commits(commits, path) == 5
         assert list(read_commits(path)) == commits
 
-    def test_malformed_record_skipped(self, mining_repo, tmp_path):
+    def test_malformed_record_skipped(self, mining_repo, tmp_path, caplog):
         commits = list(mine_repository(mining_repo))
         path = tmp_path / "commits.jsonl"
         write_commits(commits, str(path))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
-        assert len(list(read_commits(str(path)))) == 5
+            fh.write(json.dumps({"commit_id": "a" * 40, "message": "m", "diff_text": None}) + "\n")
+        with caplog.at_level(logging.WARNING, logger="staletodo.mining"):
+            assert len(list(read_commits(str(path)))) == 5
+        assert caplog.records[-1].getMessage() == (
+            "skipping malformed commit record at line 7: not strings: diff_text"
+        )
+        assert len(caplog.records) == 2
 
     def test_record_without_repo_reads_back_with_empty_repo(self):
         record = {"commit_id": "a" * 40, "message": "m", "diff_text": "d"}

@@ -33,7 +33,7 @@ def zero_mlp(input_dim, hidden):
     sizes = [input_dim, *hidden, 1]
     weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
-    return MlpParams(weights=weights, biases=biases, dropout_rate=0.2)
+    return MlpParams(weights=weights, biases=biases)
 
 
 def straight_line_score(h_parts, weights, biases):
@@ -106,15 +106,15 @@ class TestForward:
     def test_all_zero_params_give_half(self):
         mlp = zero_mlp(6, (4, 3, 2))
         h = np.zeros((1, 2))
-        scores, _ = forward([h, h, h], mlp, train_mode=False)
+        scores, _ = forward([h, h, h], mlp)
         assert scores[0] == 0.5
 
     def test_eval_mode_deterministic(self):
         rng = np.random.default_rng(0)
         mlp = init_mlp(rng, 9, (4, 4, 2))
         h = [rng.normal(size=(1, 3)) for _ in range(3)]
-        a, _ = forward(h, mlp, train_mode=False)
-        b, _ = forward(h, mlp, train_mode=False)
+        a, _ = forward(h, mlp)
+        b, _ = forward(h, mlp)
         assert np.array_equal(a, b)
 
     def test_matches_straight_line_oracle(self):
@@ -126,7 +126,7 @@ class TestForward:
             for b in mlp.biases:
                 b += rng.normal(scale=0.2, size=b.shape)
             parts = [rng.normal(size=(4, d)) for d in dims]
-            scores, _ = forward(parts, mlp, train_mode=False)
+            scores, _ = forward(parts, mlp)
             for row, score in enumerate(scores):
                 oracle = straight_line_score([p[row] for p in parts], mlp.weights, mlp.biases)
                 assert math.isclose(float(score), oracle, rel_tol=1e-12)
@@ -135,49 +135,44 @@ class TestForward:
         rng = np.random.default_rng(3)
         mlp = init_mlp(rng, 4, (3, 2, 2))
         h = rng.normal(size=(1, 4))
-        scores, _ = forward([h], mlp, train_mode=False)
+        scores, _ = forward([h], mlp)
         assert 0.0 < float(scores[0]) < 1.0
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(3)
         mlp = init_mlp(rng, 6, (3, 2, 2))
         with pytest.raises(ShapeMismatch):
-            forward([np.zeros((1, 4))], mlp, train_mode=False)
+            forward([np.zeros((1, 4))], mlp)
         with pytest.raises(ShapeMismatch):
-            forward([], mlp, train_mode=False)
+            forward([], mlp)
         with pytest.raises(ShapeMismatch):
-            forward([np.zeros((2, 3)), np.zeros((1, 3))], mlp, train_mode=False)
+            forward([np.zeros((2, 3)), np.zeros((1, 3))], mlp)
 
     def test_score_stays_in_open_interval_for_huge_logits(self):
         mlp = zero_mlp(2, (2, 2, 2))
         mlp.biases[-1][:] = 1000.0
-        score_hi, _ = forward([np.zeros((1, 2))], mlp, train_mode=False)
+        score_hi, _ = forward([np.zeros((1, 2))], mlp)
         mlp.biases[-1][:] = -1000.0
-        score_lo, _ = forward([np.zeros((1, 2))], mlp, train_mode=False)
+        score_lo, _ = forward([np.zeros((1, 2))], mlp)
         assert 0.0 < float(score_lo[0]) < float(score_hi[0]) < 1.0
 
     def test_dropout_reproducible_with_seeded_rng(self):
         rng = np.random.default_rng(9)
         mlp = init_mlp(rng, 6, (4, 3, 2))
         h = [np.ones((1, 2)) for _ in range(3)]
-        s1, _ = forward(h, mlp, train_mode=True, rng=np.random.default_rng(42))
-        s2, _ = forward(h, mlp, train_mode=True, rng=np.random.default_rng(42))
-        s3, _ = forward(h, mlp, train_mode=True, rng=np.random.default_rng(43))
+        s1, _ = forward(h, mlp, rng=np.random.default_rng(42))
+        s2, _ = forward(h, mlp, rng=np.random.default_rng(42))
+        s3, _ = forward(h, mlp, rng=np.random.default_rng(43))
         assert s1[0] == s2[0]
         assert s1[0] != s3[0]  # different mask draw
-
-    def test_train_mode_requires_rng(self):
-        mlp = zero_mlp(3, (2, 2, 2))
-        with pytest.raises(ValueError):
-            forward([np.zeros((1, 3))], mlp, train_mode=True)
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(21)
         mlp = init_mlp(rng, 6, (4, 3, 2))
         parts = [rng.normal(size=(5, 2)) for _ in range(3)]
-        batch_scores, _ = forward(parts, mlp, train_mode=False)
+        batch_scores, _ = forward(parts, mlp)
         for i in range(5):
-            one, _ = forward([p[i : i + 1] for p in parts], mlp, train_mode=False)
+            one, _ = forward([p[i : i + 1] for p in parts], mlp)
             assert math.isclose(float(one[0]), float(batch_scores[i]), rel_tol=1e-12)
 
 
@@ -216,7 +211,7 @@ class TestBackward:
         for b in mlp.biases:
             b += rng.normal(scale=0.2, size=b.shape)
         h = [rng.normal(size=(1, 2)) for _ in range(3)]
-        scores, cache = forward(h, mlp, train_mode=False)
+        scores, cache = forward(h, mlp)
         for label in (0.0, 1.0):
             grads, _ = mlp_backward(mlp, cache, np.array([label]))
             assert math.isclose(
@@ -233,14 +228,14 @@ class TestBackward:
         rng = np.random.default_rng(11)
         mlp = init_mlp(rng, 4, (3, 2, 2))
         h = rng.normal(size=(1, 4))
-        _, cache = forward([h], mlp, train_mode=True, rng=np.random.default_rng(1))
+        _, cache = forward([h], mlp, rng=np.random.default_rng(1))
         grads, d_input = mlp_backward(mlp, cache, np.array([1.0]))
         dropped = cache.masks[0][0] == 0.0
         assert np.all(d_input[0][dropped] == 0.0)
 
     def test_label_length_mismatch(self):
         mlp = zero_mlp(3, (2, 2, 2))
-        _, cache = forward([np.zeros((2, 3))], mlp, train_mode=False)
+        _, cache = forward([np.zeros((2, 3))], mlp)
         with pytest.raises(ShapeMismatch):
             mlp_backward(mlp, cache, np.array([1.0]))
 

@@ -1,6 +1,5 @@
 """Model container round-trips and the external vector interchange file."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -46,19 +45,12 @@ class TestModelFile:
         assert list(loaded.encoders) == list(model.encoders)
         for component, encoder in model.encoders.items():
             assert loaded.encoders[component].vocab.tokens == encoder.vocab.tokens
-            assert np.array_equal(loaded.encoders[component].embedding, encoder.embedding)
-        for a, b in zip(loaded.mlp.weights, model.mlp.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.mlp.biases, model.mlp.biases):
-            assert np.array_equal(a, b)
+        arrays = model.arrays()
+        assert list(loaded.arrays()) == list(arrays)
+        for name, array in loaded.arrays().items():
+            assert array.dtype == arrays[name].dtype
+            assert array.tobytes() == arrays[name].tobytes(), name
         assert loaded.config == model.config
-
-    def test_config_with_hidden_sizes_round_trips(self, trained, tmp_path):
-        model, _ = trained
-        config = dataclasses.replace(model.config, hidden_sizes=(8, 4, 2), dropout_rate=0.5)
-        path = str(tmp_path / "model.npz")
-        save_model(dataclasses.replace(model, config=config), path)
-        assert load_model(path).config == config
 
     def test_loaded_model_predicts_identically(self, trained, tmp_path):
         model, split = trained
@@ -137,23 +129,62 @@ class TestModelFileChecks:
 
 
     def test_format_3_file_with_the_former_config_fields_loads(self, trained, tmp_path):
-        # Files written while max_len_* and grad_clip_norm were config
-        # fields echo them, in the config's field order of that time.
-        order = ("batch_size", "learning_rate", "grad_clip_norm", "validate_every",
+        # Each earlier format-3 file echoes the config fields of its time, in
+        # their order, and stores n_layers beside the config: first while
+        # max_len_* and grad_clip_norm were fields, then while hidden_sizes
+        # and dropout_rate still were.
+        dropout_fields = {"hidden_sizes": None, "dropout_rate": 0.2}
+        formers = [
+            (
+                ("batch_size", "learning_rate", "grad_clip_norm", "validate_every",
                  "max_epochs", "seed", "component_mask", "backend", "dim", "min_freq",
-                 "max_len_cc", "max_len_td", "max_len_msg", "hidden_sizes", "dropout_rate")
-        former = {"grad_clip_norm": 2.0, "max_len_cc": 200, "max_len_td": 30, "max_len_msg": 30}
-
-        def add_former_fields(meta, arrays):
-            assert not former.keys() & meta["config"].keys()
-            config = {**meta["config"], **former}
-            meta["config"] = {name: config[name] for name in order}
-
+                 "max_len_cc", "max_len_td", "max_len_msg", "hidden_sizes", "dropout_rate"),
+                {"grad_clip_norm": 2.0, "max_len_cc": 200, "max_len_td": 30, "max_len_msg": 30,
+                 **dropout_fields},
+            ),
+            (
+                ("batch_size", "learning_rate", "validate_every", "max_epochs", "seed",
+                 "component_mask", "backend", "dim", "min_freq", "hidden_sizes", "dropout_rate"),
+                dropout_fields,
+            ),
+        ]
         model, split = trained
-        loaded = load_model(edited_model_file(model, tmp_path, add_former_fields))
-        assert loaded.config == model.config
         test = list(split.test)
-        assert np.array_equal(predict_scores(test, loaded), predict_scores(test, model))
+        for order, former in formers:
+
+            def add_former_fields(meta, arrays):
+                assert not former.keys() & meta["config"].keys()
+                assert "n_layers" not in meta
+                config = {**meta["config"], **former}
+                edited = {
+                    "format_version": meta["format_version"],
+                    "config": {name: config[name] for name in order},
+                    "n_layers": len(model.mlp.weights),
+                    "encoders": meta["encoders"],
+                }
+                assert edited.keys() - {"n_layers"} == meta.keys()
+                meta.clear()
+                meta.update(edited)
+
+            loaded = load_model(edited_model_file(model, tmp_path, add_former_fields))
+            assert loaded.config == model.config
+            assert np.array_equal(predict_scores(test, loaded), predict_scores(test, model))
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [(e, e) for e in ("config", "encoders", "seed", "component_mask", "mlp_w0", "mlp_b1",
+                          "emb_td")]
+        # Without the last weight the layers end at mlp_w2, and mlp_b3 is left over.
+        + [("mlp_w3", "mlp_b3")],
+    )
+    def test_missing_entry_is_a_model_file_error(self, trained, tmp_path, entry, named):
+        def drop(meta, arrays):
+            for holder in (meta, meta["config"], arrays):
+                holder.pop(entry, None)
+
+        path = edited_model_file(trained[0], tmp_path, drop)
+        with pytest.raises(ModelFileError, match=named):
+            load_model(path)
 
 
 class TestTextHash:

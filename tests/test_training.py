@@ -12,6 +12,7 @@ from staletodo.corpus import DatasetSplit, Label, split_dataset
 from staletodo.metrics import Status, confusion, metrics, status_of
 from staletodo.model import (
     ExternalVectorStore,
+    ModelParams,
     TrainConfig,
     predict,
     predict_scores,
@@ -200,14 +201,10 @@ class TestMasking:
         assert model.mlp.input_dim == 2 * config.dim
 
 
-def model_arrays(model):
-    return [e.embedding for e in model.encoders.values()] + model.mlp.weights + model.mlp.biases
-
-
-def bit_equal(arrays_a, arrays_b):
-    return len(arrays_a) == len(arrays_b) and all(
-        np.array_equal(a, b) for a, b in zip(arrays_a, arrays_b)
-    )
+def bit_equal(model_a, model_b):
+    """Same parameter names, each with an equal array."""
+    a, b = model_a.arrays(), model_b.arrays()
+    return a.keys() == b.keys() and all(np.array_equal(a[name], b[name]) for name in a)
 
 
 class TestCheckpoint:
@@ -234,14 +231,11 @@ class TestCheckpoint:
         rng = np.random.default_rng(config.seed)
         active = config.active_components()
         vocabs = [build_vocab([component_text(s, c) for s in split.train], 1) for c in active]
-        encoders = [init_encoder(rng, vocab, config.dim) for vocab in vocabs]
-        mlp = init_mlp(
-            rng, config.dim * len(active), default_hidden_sizes(config.dim), config.dropout_rate
-        )
+        encoders = {c: init_encoder(rng, vocab, config.dim) for c, vocab in zip(active, vocabs)}
+        mlp = init_mlp(rng, config.dim * len(active), default_hidden_sizes(config.dim))
         assert list(model.encoders) == list(active)
         assert [e.vocab.tokens for e in model.encoders.values()] == [v.tokens for v in vocabs]
-        expected = [e.embedding for e in encoders] + mlp.weights + mlp.biases
-        assert bit_equal(model_arrays(model), expected)
+        assert bit_equal(model, ModelParams(encoders=encoders, mlp=mlp, config=config))
 
 
 class TestDivergence:
@@ -260,10 +254,7 @@ class TestDivergence:
         poisoned = np.full(768, np.nan)
         store.add(corpus[0].code_change, poisoned)
 
-        config = TrainConfig(
-            backend="external", max_epochs=5, validate_every=1, seed=3,
-            hidden_sizes=(8, 4, 2),
-        )
+        config = TrainConfig(backend="external", max_epochs=5, validate_every=1, seed=3)
         return split, config, store
 
     def test_non_finite_loss_aborts_with_finite_model(self):
@@ -282,7 +273,7 @@ class TestDivergence:
             model, history = train(split, diverging, store)
             assert history.diverged and history.validations == []
             assert history.final_batch >= min_steps
-            assert bit_equal(model_arrays(model), model_arrays(twin))
+            assert bit_equal(model, twin)
 
 
 class TestPredict:
@@ -316,11 +307,10 @@ class TestPredict:
     def test_exact_half_score_is_resolved(self):
         # zero weights and biases give sigma(0) = 0.5 exactly; >= pins Resolved
         from staletodo.model.network import MlpParams
-        from staletodo.model.training import ModelParams
         from staletodo.model.vocab import make_vocab
         import numpy as np
 
-        config = TrainConfig(dim=4, hidden_sizes=(3, 2, 2))
+        config = TrainConfig(dim=4)
         sizes = [12, 3, 2, 2, 1]
         mlp = MlpParams(
             weights=[np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
@@ -379,10 +369,7 @@ class TestExternalBackend:
             train=tuple(corpus[:16]), val=tuple(corpus[16:20]), test=tuple(corpus[20:]), seed=0
         )
         store = self._store_for(corpus)
-        config = TrainConfig(
-            backend="external", max_epochs=30, validate_every=10, seed=3,
-            hidden_sizes=(16, 8, 4),
-        )
+        config = TrainConfig(backend="external", max_epochs=30, validate_every=10, seed=3)
         model, history = train(split, config, store)
         assert not history.diverged
         assert model.encoders == {}
