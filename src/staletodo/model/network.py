@@ -4,7 +4,9 @@ The classifier concatenates one vector per active input component
 (code change, todo comment, commit message) and pushes it through three
 ReLU hidden layers into a single sigmoid output. All math is plain numpy;
 gradients are derived by hand and checked against finite differences in
-the test suite.
+the test suite. An id matrix is (batch, tokens) with PAD after each text's
+tokens; pooling and the embedding gradient read as many columns as it has,
+and columns that are PAD in every row change neither.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ def mean_pool(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Mean of the embedding rows of non-PAD tokens; zero when all PAD.
 
     PAD tokens add the PAD row, which is zero and which training never updates.
+    For dim > 1 numpy sums the token axis in order, so all-PAD columns after
+    the tokens only add +0.0 (no table entry is -0.0) and change no bit; at
+    dim 1 it sums that axis pairwise, and they may.
     """
     counts = np.maximum((ids != PAD_INDEX).sum(axis=1), 1)
     return table[ids].sum(axis=1) / counts[:, None]
@@ -213,14 +218,19 @@ def embedding_gradient(
     """Scatter mean-pooling gradients back onto the rows of the embedding
     table that the batch used.
 
-    Each row's contributions are added in token order, as a scatter into a
-    dense zero table would add them, so the values are bit-identical to it.
+    The scatter runs over the flat (rows * dim) values at slot*dim + column,
+    adding each entry's contributions in token order from 0.0, as a scatter
+    into a dense zero table would add them, so the values are bit-identical
+    to it.
     """
     mask = ids != PAD_INDEX
-    counts = np.maximum(mask.sum(axis=1), 1)
-    contrib = d_h / counts[:, None]
-    repeated = np.repeat(contrib, mask.sum(axis=1), axis=0)
+    lengths = mask.sum(axis=1)
+    contrib = d_h / np.maximum(lengths, 1)[:, None]
     rows, slots = np.unique(ids[mask], return_inverse=True)
-    values = np.zeros((rows.size, dim))
-    np.add.at(values, slots, repeated)
-    return RowGradient(rows=rows, values=values, num_rows=vocab_size)
+    flat = (slots * dim)[:, None] + np.arange(dim)
+    values = np.bincount(
+        flat.reshape(-1),
+        weights=np.repeat(contrib, lengths, axis=0).reshape(-1),
+        minlength=rows.size * dim,
+    )
+    return RowGradient(rows=rows, values=values.reshape(rows.size, dim), num_rows=vocab_size)

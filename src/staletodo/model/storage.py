@@ -4,8 +4,8 @@ The model file is a numpy .npz archive: each parameter is a bit-exact array
 under its ModelParams.arrays name, the layers' count and widths included,
 and a JSON header holds only the format version, the config echo and each
 encoder's vocabulary (in component order). It holds no optimizer state, and
-an external-backend model holds no vocabulary. A missing entry or an array
-nothing reads raises ModelFileError.
+an external-backend model holds no vocabulary. A missing entry, a meta entry
+of the wrong type or an array nothing reads raises ModelFileError.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -122,6 +122,8 @@ def load_model(path: str):
         if "meta" not in archive:
             raise ModelFileError("not a model file: missing meta entry")
         meta = json.loads(str(archive["meta"]))
+        if not isinstance(meta, dict):
+            raise ModelFileError("model meta is not an object")
         version = meta.get("format_version")
         if version == 2:
             raise ModelFileError(
@@ -130,6 +132,9 @@ def load_model(path: str):
             )
         if version != FORMAT_VERSION:
             raise ModelFileError(f"unsupported model format version {version!r}")
+        for entry in ("config", "encoders"):
+            if not isinstance(meta.get(entry, {}), dict):
+                raise ModelFileError(f"model meta entry {entry!r} is not an object")
         try:
             # Extra config keys, such as those of former fields, are ignored.
             cfg = {f.name: meta["config"][f.name] for f in dataclasses.fields(TrainConfig)}
@@ -144,6 +149,8 @@ def load_model(path: str):
                 component = Component(name)
             except ValueError:
                 raise ModelFileError(f"unknown encoder {name!r}") from None
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise ModelFileError(f"encoder {name!r}: tokens are not a list of strings")
             vocabs[component] = make_vocab(tokens)
         expected = config.active_components() if config.backend == INTERNAL else ()
         if tuple(vocabs) != expected:

@@ -36,7 +36,7 @@ from .network import (
 )
 from .optimizer import AdamState, adam_step, clip_gradients
 from .storage import EXTERNAL_DIM, ExternalVectorStore
-from .vocab import Vocab, build_vocab
+from .vocab import PAD_INDEX, Vocab, build_vocab
 
 INTERNAL = "internal"
 EXTERNAL = "external"
@@ -150,16 +150,23 @@ def _encode_samples(
     store: Optional[ExternalVectorStore],
 ) -> dict[Component, np.ndarray]:
     """Precompute per-component model inputs: id matrices, each in its own
-    encoder's vocabulary, or fixed vectors."""
+    encoder's vocabulary, or fixed vectors.
+
+    An id matrix is as wide as the longest text it encodes, at least 1 and
+    at most the encoder's MAX_LEN, so no column is PAD in every row. No
+    token maps to PAD, so the PAD ids of a row all follow its tokens.
+    """
     encoded: dict[Component, np.ndarray] = {}
     for component in model.config.active_components():
         if component in model.encoders:
-            max_len = MAX_LEN[component]
             vocab = model.encoders[component].vocab
-            encoded[component] = np.array(
+            max_len = MAX_LEN[component]
+            ids = np.array(
                 [vocab.encode_text(component_text(s, component), max_len) for s in samples],
                 dtype=np.int64,
             )
+            width = max(1, int(np.count_nonzero(ids != PAD_INDEX, axis=1).max()))
+            encoded[component] = ids[:, :width].copy()
         else:
             encoded[component] = np.stack(
                 [store.lookup(component_text(s, component)) for s in samples]
@@ -247,7 +254,9 @@ def train(
     running_loss = 0.0
     running_batches = 0
 
-    def validate(epoch: int) -> None:
+    def validate(epoch: int, last: bool = False) -> None:
+        """Score the validation set and keep the model if it is the best so
+        far: a copy, or the live model itself when no step follows."""
         nonlocal best_f1, best, running_loss, running_batches
         scores = _scores(len(split.val), val_encoded, model)
         f1 = metrics(confusion([status_of(s) for s in scores], val_labels)).f1
@@ -261,8 +270,11 @@ def train(
         if comparable > best_f1:
             best_f1 = comparable
             best = None  # free the old checkpoint before copying the new one
-            copies = {name: a.copy() for name, a in model.arrays().items()}
-            best = ModelParams.from_arrays(copies, vocabs, config)
+            if last:
+                best = model
+            else:
+                copies = {name: a.copy() for name, a in model.arrays().items()}
+                best = ModelParams.from_arrays(copies, vocabs, config)
             history.best_batch = batches_done
 
     diverged = False
@@ -296,7 +308,7 @@ def train(
             break
 
     if not diverged and running_batches:
-        validate(config.max_epochs - 1)
+        validate(config.max_epochs - 1, last=True)
 
     history.final_batch = batches_done
     history.diverged = diverged

@@ -39,6 +39,8 @@ from .mining import mine_repository, run_git
 
 # One HEAD hit of `git grep -z -n`: "HEAD:<path>\0<line number>\0<line>\n".
 _GREP_HIT_RE = re.compile(r"HEAD:([^\0]*)\0(\d+)\0([^\n]*)\n")
+# A diff line that could be a context-line TODO.
+_CONTEXT_TODO_RE = re.compile(r"^ .*todo", re.I | re.M)
 
 
 class FindingKind(Enum):
@@ -61,10 +63,19 @@ def normalize_ws(text: str) -> str:
 
 
 def candidate_triples(commits: Iterable) -> list[tuple[TripleSample, TodoComment, str]]:
-    """Context-line TODO triples from a commit stream, with their file."""
+    """Context-line TODO triples from a commit stream, with their file.
+
+    A commit with no diff line that starts with " " and holds "todo" in any
+    case is skipped unparsed: it has no context-line TODO. The parser breaks
+    lines at "\\n" only, as "^" and "." do here, a context line starts with
+    " ", and "todo" matches under re.IGNORECASE exactly where it is in
+    str.lower, the finder's test (see comments.contains_todo).
+    """
     languages = tuple(Language)
     out = []
     for commit in commits:
+        if not _CONTEXT_TODO_RE.search(commit.diff_text):
+            continue
         result = extract_triple(commit, languages, kinds=(LineKind.CONTEXT,))
         if isinstance(result, tuple):
             out.append(result)

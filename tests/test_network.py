@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gradient_check_instance
 from staletodo.model import (
@@ -64,6 +66,32 @@ def pad_zero_table(rows, dim):
     return table
 
 
+@st.composite
+def pooling_batches(draw):
+    """(ids, table, d_h, dim, extra PAD columns): ids drawn from a small
+    vocabulary, so they repeat, with PAD anywhere; a table as the model
+    holds one, with a zero PAD row and no -0.0 entry; and a d_h holding 0.0
+    and -0.0 among its entries."""
+    dim = draw(st.integers(2, 5))
+    vocab_size = draw(st.integers(2, 8))
+    batch, length = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, vocab_size - 1), min_size=batch * length,
+                        max_size=batch * length))
+    finite = st.floats(-1e3, 1e3, allow_subnormal=True)
+    table = draw(st.lists(finite.map(lambda x: x + 0.0), min_size=vocab_size * dim,
+                          max_size=vocab_size * dim))
+    d_h = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), finite), min_size=batch * dim,
+                        max_size=batch * dim))
+    table = np.array(table).reshape(vocab_size, dim)
+    table[PAD_INDEX] = 0.0
+    ids = np.array(ids, dtype=np.int64).reshape(batch, length)
+    return ids, table, np.array(d_h).reshape(batch, dim), dim, draw(st.integers(1, 30))
+
+
+def with_pad_columns(ids, extra):
+    return np.concatenate([ids, np.full((ids.shape[0], extra), PAD_INDEX)], axis=1)
+
+
 class TestMeanPool:
     def test_all_pad_gives_zero_vector(self):
         table = pad_zero_table(5, 4)
@@ -100,6 +128,15 @@ class TestMeanPool:
             ids[row, length:] = PAD_INDEX  # row lengths 0..50, some all PAD
         ids[0] = PAD_INDEX
         assert mean_pool(ids, table).tobytes() == masked_mean_pool(ids, table).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(pooling_batches())
+    def test_pad_columns_change_no_bit(self, batch):
+        # The token axis is summed in order when dim > 1, so trailing PAD
+        # columns only add +0.0 after the last token.
+        ids, table, _, _, extra = batch
+        padded = mean_pool(with_pad_columns(ids, extra), table)
+        assert padded.tobytes() == mean_pool(ids, table).tobytes()
 
 
 class TestForward:
@@ -272,6 +309,24 @@ class TestEmbeddingGradient:
             grad = embedding_gradient(d_h, ids, vocab_size, dim)
             assert np.array_equal(grad.to_dense(), dense_scatter(d_h, ids, vocab_size, dim))
             assert np.array_equal(grad.rows, np.unique(ids[ids != PAD_INDEX]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pooling_batches())
+    def test_flat_scatter_matches_2d_add_at_bit_for_bit(self, batch):
+        ids, _, d_h, dim, _ = batch
+        vocab_size = int(ids.max()) + 1
+        grad = embedding_gradient(d_h, ids, vocab_size, dim)
+        assert grad.to_dense().tobytes() == dense_scatter(d_h, ids, vocab_size, dim).tobytes()
+        assert np.array_equal(grad.rows, np.unique(ids[ids != PAD_INDEX]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pooling_batches())
+    def test_pad_columns_change_no_bit(self, batch):
+        ids, _, d_h, dim, extra = batch
+        grad = embedding_gradient(d_h, ids, 8, dim)
+        padded = embedding_gradient(d_h, with_pad_columns(ids, extra), 8, dim)
+        assert padded.rows.tobytes() == grad.rows.tobytes()
+        assert padded.values.tobytes() == grad.values.tobytes()
 
 
 class TestShapes:

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from staletodo.model import AdamState, RowGradient, adam_step, clip_gradients, global_norm
+from staletodo.model.optimizer import SPLIT_ENTRIES
 from staletodo.model.network import embedding_gradient
 from staletodo.model.vocab import PAD_INDEX
 
@@ -45,6 +47,15 @@ class TestClipGradients:
         assert np.array_equal(out[0], np.zeros(3))
 
 
+@pytest.fixture
+def short_switch_interval():
+    """Short interpreter time slices, so that threads interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
 def random_row_gradient(rng, num_rows=50, dim=4, scale=1.0):
     rows = np.unique(rng.integers(1, num_rows, size=int(rng.integers(0, 12))))
     return RowGradient(rows, rng.normal(scale=scale, size=(rows.size, dim)), num_rows)
@@ -71,24 +82,31 @@ class TestRowGradients:
             assert global_norm(out) <= 2.0 + 1e-9
 
     @pytest.mark.parametrize(
-        "vocab, untouched, boundary",
-        [(40, 30, ()), (2600, 2200, (1023, 1024, 2047, 2048))],
-        ids=["one-block", "three-blocks"],
+        "vocab, dim, untouched, boundary, split",
+        [
+            (40, 6, 30, (), False),
+            (2600, 6, 2200, (1023, 1024, 2047, 2048), False),
+            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), True),
+        ],
+        ids=["one-block", "three-blocks", "two-threads"],
     )
-    def test_adam_matches_dense_adam_bit_for_bit(self, vocab, untouched, boundary):
+    @pytest.mark.usefixtures("short_switch_interval")
+    def test_adam_matches_dense_adam_bit_for_bit(self, vocab, dim, untouched, boundary, split):
         # Row 1 is touched only in the first step and then only decays; rows
         # `untouched` and up are never touched; ids repeat within every batch.
         # The 2,600-row table spans two full update blocks and a partial one,
         # and every batch touches the rows on both sides of each block edge.
+        # The 8,400 x 128 table holds SPLIT_ENTRIES entries or more, so the
+        # caller and the helper thread share its nine blocks.
+        assert (vocab * dim >= SPLIT_ENTRIES) is split
         rng = np.random.default_rng(17)
-        dim = 6
         table = rng.uniform(-0.05, 0.05, size=(vocab, dim))
         weight = rng.normal(size=(dim, 3))
         bias = rng.normal(size=3)
         sparse = [weight.copy(), bias.copy(), table.copy()]
         dense = [weight.copy(), bias.copy(), table.copy()]
         sparse_state = AdamState.for_params(sparse)
-        dense_state = AdamState.for_params(dense)
+        dense_moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in dense]
         row_one = []
         for step in range(30):
             ids = rng.integers(2, untouched, size=(4, 10))
@@ -103,7 +121,7 @@ class TestRowGradients:
             w_grad = rng.normal(size=weight.shape)
             b_grad = rng.normal(size=bias.shape)
             adam_step(sparse, [w_grad, b_grad, grad], sparse_state, lr=0.01)
-            adam_step(dense, [w_grad, b_grad, grad.to_dense()], dense_state, lr=0.01)
+            dense_adam(dense, [w_grad, b_grad, grad.to_dense()], dense_moments, step + 1, 0.01)
             assert np.array_equal(sparse[0], dense[0])
             assert np.array_equal(sparse[1], dense[1])
             assert np.array_equal(sparse[2], dense[2])
@@ -129,6 +147,14 @@ class TestRowGradients:
         finally:
             tracemalloc.stop()
         assert peak - current < table.nbytes / 4
+
+
+def dense_adam(params, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step over whole arrays in one thread, in adam_step's order."""
+    for p, g, (m, v) in zip(params, grads, moments):
+        m[:] = b1 * m + (1.0 - b1) * g
+        v[:] = b2 * v + (1.0 - b2) * np.square(g)
+        p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
 
 
 def reference_adam(params, grad_fn, steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):

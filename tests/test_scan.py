@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     MIXED_LANGUAGE_COMMIT,
@@ -113,6 +115,51 @@ class TestCandidateTriples:
             ("todo: fix the form", "f.py")
         ]
         assert ' z = "a\rb"' in triples[0][0].code_change.split("\n")
+
+
+# Diff line text: a TODO comment or none amid code, line breaks the parser
+# keeps inside a line, and characters whose case mapping changes the length
+# ("İ") or is not ASCII ("ſ", "K" as the Kelvin sign).
+_NOISE = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "    x = 1", "q.flush()", "#", "//", " ", "\r", "\x0c", "é", "İ", "ſ", "\u212a",
+            "to", "do", '"todo"',
+        ]),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=3),
+    ),
+    max_size=2,
+).map("".join)
+# Nothing, on five lines in nine, or a TODO comment in one of four cases.
+_TODO = st.sampled_from(["# todo: flush it", "// ToDo: retry it", "/* tOdO */", "TODO", *[""] * 5])
+_LINE_TEXT = st.tuples(_NOISE, _TODO, _NOISE).map("".join)
+_HUNK = st.lists(st.tuples(st.sampled_from("+- "), _LINE_TEXT), min_size=1, max_size=8)
+
+
+def unfiltered_candidates(commits):
+    """candidate_triples without its pre-filter."""
+    results = [extract_triple(c, tuple(Language), kinds=(LineKind.CONTEXT,)) for c in commits]
+    return [result for result in results if isinstance(result, tuple)]
+
+
+class TestCandidatePreFilter:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a.py", "B.java", "c.txt"]), _HUNK), max_size=3))
+    @example([("a.py", [(" ", "def f():"), (" ", "\r  # ToDo: flush\r"), ("+", "  q.flush()")])])
+    @example([("a.py", [(" ", "def f():"), ("+", "  # todo: flush"), ("+", "  q.flush()")])])
+    @example([("a.py", [(" ", "def f():"), ("-", "  # TODO: flush"), ("+", "  q.flush()")])])
+    @example([("B.java", [(" ", "\x0cint é; // tOdO: close"), ("-", "a();"), ("+", "b();")])])
+    def test_never_changes_the_candidates(self, files):
+        commit = diff_commit({path: [m + t for m, t in body] for path, body in files}, "c0ffee1")
+        assert candidate_triples([commit]) == unfiltered_candidates([commit])
+
+    def test_skips_exactly_the_commits_without_a_context_line_todo(self, scan_repo):
+        added = diff_commit({"e.py": [" def f(m):", "+    # TODO: log it", "+    log(m)"]}, "e0")
+        removed = diff_commit({"e.py": [" def f(m):", "-    # todo: log it", "+    log(m)"]}, "e1")
+        context = diff_commit({"e.py": [" def f(m):  # ToDo: log it\r", "+    log(m)"]}, "e2")
+        commits = [*mine_repository(scan_repo), added, removed, context]
+        assert candidate_triples(commits) == unfiltered_candidates(commits)
+        assert [s.commit_id for s, _, _ in candidate_triples([added, removed, context])] == ["e2"]
 
 
 class TestScanRepository:

@@ -186,6 +186,34 @@ class TestModelFileChecks:
         with pytest.raises(ModelFileError, match=named):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda m: m.update(config=list(m["config"].values())), "'config' is not an object"),
+            (lambda m: m.update(encoders=list(m["encoders"])), "'encoders' is not an object"),
+            (lambda m: m["encoders"].update(td="todo flush"), "'td': tokens are not a list of str"),
+            (lambda m: m["encoders"]["cc"].__setitem__(3, 7), "'cc': tokens are not a list of str"),
+            (lambda m: m["encoders"].update(td=None), "'td': tokens are not a list of str"),
+        ],
+        ids=["config-list", "encoders-list", "tokens-string", "token-int", "tokens-null"],
+    )
+    def test_meta_entry_of_the_wrong_type_is_a_model_file_error(
+        self, trained, tmp_path, edit, named
+    ):
+        path = edited_model_file(trained[0], tmp_path, lambda meta, arrays: edit(meta))
+        with pytest.raises(ModelFileError, match=named):
+            load_model(path)
+
+    def test_meta_that_is_not_an_object_is_a_model_file_error(self, trained, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(trained[0], str(path))
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files if name != "meta"}
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps([3])), **arrays)
+        with pytest.raises(ModelFileError, match="meta is not an object"):
+            load_model(str(path))
+
 
 class TestTextHash:
     def test_sha256_lowercase_hex(self):

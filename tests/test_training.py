@@ -26,8 +26,15 @@ from staletodo.model.network import (
     init_encoder,
     init_mlp,
 )
-from staletodo.model.training import SCORE_CHUNK, _encode_samples, component_text, parse_mask
-from staletodo.model.vocab import PAD_INDEX, UNK_INDEX, build_vocab
+from staletodo.model.training import (
+    MAX_LEN,
+    SCORE_CHUNK,
+    _encode_samples,
+    _init_model,
+    component_text,
+    parse_mask,
+)
+from staletodo.model.vocab import PAD_INDEX, UNK_INDEX, build_vocab, tokenize_for_model
 
 
 def accuracy(samples, model, store=None):
@@ -96,7 +103,8 @@ class TestLearning:
         assert history.best_batch == first_best
 
     def test_pad_rows_stay_exactly_zero(self):
-        # mean_pool sums PAD tokens with the rest, relying on this.
+        # mean_pool sums the PAD ids that fill a shorter text up to the
+        # longest of its call with the tokens, relying on this.
         split = toy_split(20)
         model, history = train(split, TrainConfig(max_epochs=30, **FAST_CONFIG))
         assert history.final_batch > 0
@@ -169,6 +177,42 @@ class TestEncoderVocabularies:
         assert "vocab" not in meta
 
 
+def model_for(samples):
+    vocabs = {
+        c: build_vocab([component_text(s, c) for s in samples], min_freq=1) for c in COMPONENT_ORDER
+    }
+    return _init_model(np.random.default_rng(0), vocabs, TrainConfig(dim=4))
+
+
+class TestEncodedIds:
+    def test_width_is_the_longest_text_and_rows_are_the_padded_encoding(self):
+        samples = [
+            make_sample(cc="+a b c", td="todo: x y z", msg="one."),  # "+" is a token
+            make_sample(cc="-a b c d e f g", td="todo", msg="one two three four."),
+        ]
+        model = model_for(samples)
+        encoded = _encode_samples(samples, model, None)
+        assert [encoded[c].shape for c in COMPONENT_ORDER] == [(2, 8), (2, 4), (2, 4)]
+        for component, ids in encoded.items():
+            vocab = model.encoders[component].vocab
+            for sample, row in zip(samples, ids):
+                text = component_text(sample, component)
+                full = vocab.encode(tokenize_for_model(text), MAX_LEN[component])
+                assert row.tolist() == full[: ids.shape[1]]
+                assert not any(full[ids.shape[1] :])
+
+    def test_width_stops_at_max_len(self):
+        samples = [make_sample(cc="+" + " x" * 250, td="todo" + " y" * 40)]
+        encoded = _encode_samples(samples, model_for(samples), None)
+        assert encoded[Component.CC].shape == (1, MAX_LEN[Component.CC])
+        assert encoded[Component.TD].shape == (1, MAX_LEN[Component.TD])
+
+    def test_width_is_one_when_no_text_has_a_token(self):
+        samples = [make_sample(msg="..."), make_sample(msg="!?")]
+        encoded = _encode_samples(samples, model_for(samples), None)
+        assert encoded[Component.MSG].tolist() == [[PAD_INDEX], [PAD_INDEX]]
+
+
 class TestMasking:
     def test_msg_masked_model_ignores_messages(self):
         split = toy_split(30)
@@ -222,6 +266,18 @@ class TestCheckpoint:
         val = list(split.val)
         statuses = [status_of(s) for s in predict_scores(val, model)]
         assert metrics(confusion(statuses, [s.label for s in val])).f1 == best
+
+    def test_last_validation_returns_the_live_model_with_the_checkpoint_bits(self):
+        # Three batches: validated in the loop at its last batch, which
+        # copies the model, or only after it, which returns the model itself.
+        split = toy_split(20)
+        in_loop, after = (
+            train(split, TrainConfig(max_epochs=3, **{**FAST_CONFIG, "validate_every": every}))
+            for every in (3, 0)
+        )
+        assert in_loop[1].validations == after[1].validations
+        assert [v.batch for v in after[1].validations] == [after[1].best_batch] == [3]
+        assert bit_equal(in_loop[0], after[0])
 
     def test_no_epochs_returns_seed_init(self):
         split = toy_split(20)
