@@ -7,7 +7,6 @@ scans live repositories for TODOs that were resolved but left behind.
 """
 
 from .comments import (
-    CodeChange,
     Language,
     TodoComment,
     associate,
@@ -31,7 +30,6 @@ from .diffs import (
     DiffLine,
     LineKind,
     MalformedDiff,
-    NormalizedMessage,
     RawCommit,
     normalize_diff,
     normalize_message,

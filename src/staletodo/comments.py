@@ -58,19 +58,18 @@ class CommentSpan:
 
 @dataclass(frozen=True)
 class TodoComment:
-    """A comment containing the TODO marker, tied to its diff line."""
+    """A comment containing the TODO marker, tied to its diff line.
+
+    index is the line's position in the document's lines, and [start, end)
+    is the comment's span on the line, delimiters included.
+    """
 
     text: str
     line: DiffLine
     language: Language
-
-
-@dataclass(frozen=True)
-class CodeChange:
-    """The diff minus the TODO comment, plus its flattened rendering."""
-
-    lines: tuple[DiffLine, ...]
-    rendered: str
+    index: int
+    start: int
+    end: int
 
 
 def iter_line_comments(text: str, language: Language) -> Iterator[CommentSpan]:
@@ -160,20 +159,20 @@ def extract_comments_by_file(
         for old, new in doc.files
     ]
     found = []
-    for line in doc.lines:
+    for index, line in enumerate(doc.lines):
         language = file_languages[line.file_index]
         if language is None:
             continue
-        for text in line_todo_texts(line.text, language):
-            found.append(TodoComment(text=text, line=line, language=language))
+        for span in line_todos(line.text, language):
+            found.append(TodoComment(span.text, line, language, index, span.start, span.end))
     return found
 
 
-def line_todo_texts(text: str, language: Language) -> list[str]:
-    """The texts of the TODO comments on one source line."""
+def line_todos(text: str, language: Language) -> list[CommentSpan]:
+    """The TODO comments on one source line."""
     if not contains_todo(text):
         return []
-    return [span.text for span in iter_line_comments(text, language) if contains_todo(span.text)]
+    return [span for span in iter_line_comments(text, language) if contains_todo(span.text)]
 
 
 def contains_todo(text: str) -> bool:
@@ -200,53 +199,29 @@ def associate(
     """True iff a changed line sits within context_lines of the TODO line.
 
     Only lines of the same hunk count, the TODO line itself does not: the
-    code change a TODO is tied to must be a different line.
+    code change a TODO is tied to must be a different line. A hunk's lines
+    are contiguous in the document, so its lines within context_lines of
+    the TODO are among the context_lines lines on either side of it.
     """
+    i = todo.index
     anchor = todo.line
-    for line in doc.lines:
-        if line.file_index != anchor.file_index or line.hunk_index != anchor.hunk_index:
-            continue
-        if line.position == anchor.position:
-            continue
-        if line.kind is LineKind.CONTEXT:
-            continue
-        if abs(line.position - anchor.position) <= context_lines:
+    for line in doc.lines[max(i - context_lines, 0) : i] + doc.lines[i + 1 : i + 1 + context_lines]:
+        if (
+            line.kind is not LineKind.CONTEXT
+            and line.file_index == anchor.file_index
+            and line.hunk_index == anchor.hunk_index
+        ):
             return True
     return False
 
 
-def carve_code_change(doc: DiffDocument, todo: TodoComment) -> CodeChange:
-    """Remove the TODO comment from the diff, keeping everything else.
+def carve_code_change(doc: DiffDocument, todo: TodoComment) -> str:
+    """The diff minus the TODO comment, rendered with its markers.
 
     A comment-only TODO line disappears entirely; when code and TODO share
     a line only the comment segment (delimiters included) is excised.
     """
-    kept: list[DiffLine] = []
-    for line in doc.lines:
-        if (
-            line.file_index == todo.line.file_index
-            and line.hunk_index == todo.line.hunk_index
-            and line.position == todo.line.position
-        ):
-            stripped = _strip_comment(line.text, todo)
-            if stripped is None:
-                continue
-            kept.append(
-                DiffLine(line.kind, stripped, line.file_index, line.hunk_index, line.position)
-            )
-        else:
-            kept.append(line)
-    return CodeChange(lines=tuple(kept), rendered=render_lines(kept))
-
-
-def _strip_comment(text: str, todo: TodoComment) -> Optional[str]:
-    """Excise the TODO's comment span from the line; None if nothing remains."""
-    for span in iter_line_comments(text, todo.language):
-        if span.text == todo.text:
-            remainder = text[: span.start] + text[span.end :]
-            if not remainder.strip():
-                return None
-            return remainder.rstrip()
-    # Span not found (should not happen for a todo extracted from this line);
-    # keep the line untouched rather than guessing.
-    return text
+    text = todo.line.text
+    rest = (text[: todo.start] + text[todo.end :]).rstrip()
+    carved = (todo.line._replace(text=rest),) if rest else ()
+    return render_lines(doc.lines[: todo.index] + carved + doc.lines[todo.index + 1 :])

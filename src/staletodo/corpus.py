@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .comments import (
-    CodeChange,
     Language,
     TodoComment,
     associate,
@@ -30,7 +29,6 @@ from .comments import (
 from .diffs import (
     LineKind,
     MalformedDiff,
-    NormalizedMessage,
     RawCommit,
     normalize_diff,
     normalize_message,
@@ -122,8 +120,8 @@ class CorpusStats:
 
 def label_triple(
     todo: TodoComment,
-    cc: CodeChange,
-    msg: NormalizedMessage,
+    code_change: str,
+    message: str,
     repo: str = "",
     commit_id: str = "",
 ) -> Optional[TripleSample]:
@@ -133,9 +131,9 @@ def label_triple(
         return None
     label = Label.POSITIVE if kind is LineKind.REMOVED else Label.NEGATIVE
     return TripleSample(
-        code_change=cc.rendered,
+        code_change=code_change,
         todo_comment=todo.text,
-        commit_msg=msg.text,
+        commit_msg=message,
         label=label,
         repo=repo,
         commit_id=commit_id,
@@ -173,13 +171,13 @@ def extract_triple(
         return "other_kind"
     if not associate(todo, norm):
         return "unassociated"
-    cc = carve_code_change(norm, todo)
-    if not cc.rendered.strip():
+    code_change = carve_code_change(norm, todo)
+    if not code_change.strip():
         return "empty_change"
-    msg = normalize_message(commit.message)
-    if not msg.text:
+    message = normalize_message(commit.message)
+    if not message:
         return "empty_message"
-    sample = label_triple(todo, cc, msg, repo=commit.repo, commit_id=commit.commit_id)
+    sample = label_triple(todo, code_change, message, repo=commit.repo, commit_id=commit.commit_id)
     if sample is None:
         return "added_kind"
     old, new = norm.files[todo.line.file_index]
@@ -217,16 +215,21 @@ def split_dataset(samples: Sequence[TripleSample], seed: int) -> DatasetSplit:
         raise TooFewSamples(f"need at least {MIN_SPLIT_SIZE} samples, got {n}")
     order = list(samples)
     random.Random(seed).shuffle(order)
-    chunk = (n + 5) // 10
+    chunk = _holdout_size(n)
     train = tuple(order[: n - 2 * chunk])
     val = tuple(order[n - 2 * chunk : n - chunk])
     test = tuple(order[n - chunk :])
     return DatasetSplit(train=train, val=val, test=test, seed=seed)
 
 
+def _holdout_size(n: int) -> int:
+    """The size of the validation set and of the test set: round(n/10), half up."""
+    return (n + 5) // 10
+
+
 def corpus_stats(samples: Sequence[TripleSample], todo_commits: int) -> CorpusStats:
     n = len(samples)
-    chunk = (n + 5) // 10 if n >= MIN_SPLIT_SIZE else 0
+    chunk = _holdout_size(n) if n >= MIN_SPLIT_SIZE else 0
     positives = sum(1 for s in samples if s.label is Label.POSITIVE)
     return CorpusStats(
         todo_commits=todo_commits,

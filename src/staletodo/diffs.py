@@ -83,7 +83,6 @@ class DiffLine(NamedTuple):
     text: str
     file_index: int
     hunk_index: int
-    position: int
 
     def marker(self) -> str:
         return _KIND_TO_MARKER[self.kind]
@@ -96,13 +95,6 @@ class DiffDocument:
     lines: tuple[DiffLine, ...]
     byte_size: int
     files: tuple[tuple[Optional[str], Optional[str]], ...]
-
-
-@dataclass(frozen=True)
-class NormalizedMessage:
-    """Lowercased first sentence of a commit message, with placeholders."""
-
-    text: str
 
 
 def parse_unified_diff(diff_text: str) -> DiffDocument:
@@ -122,7 +114,6 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
 
     file_index = -1
     hunk_index = -1
-    position = 0
     remaining_old = 0
     remaining_new = 0
 
@@ -143,8 +134,7 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
             if kind is not LineKind.REMOVED:
                 remaining_new -= 1
             text = raw[1:] if raw else ""
-            lines.append(DiffLine(kind, text, file_index, hunk_index, position))
-            position += 1
+            lines.append(DiffLine(kind, text, file_index, hunk_index))
             continue
 
         header = _FILE_HEADER_RE.match(raw)
@@ -157,7 +147,6 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
         hunk = _HUNK_HEADER_RE.match(raw)
         if hunk and file_index >= 0:
             hunk_index += 1
-            position = 0
             remaining_old = int(hunk.group("old_count") or "1")
             remaining_new = int(hunk.group("new_count") or "1")
             continue
@@ -208,7 +197,7 @@ def normalize_diff(doc: DiffDocument) -> Optional[DiffDocument]:
     # cross one.
     texts = normalize_text("\n".join(line.text for line in doc.lines)).split("\n")
     lines = tuple(
-        DiffLine(line.kind, text, line.file_index, line.hunk_index, line.position)
+        DiffLine(line.kind, text, line.file_index, line.hunk_index)
         for line, text in zip(doc.lines, texts)
     )
     return DiffDocument(lines=lines, byte_size=doc.byte_size, files=doc.files)
@@ -218,7 +207,7 @@ def normalize_text(text: str) -> str:
     return _HEX_RUN_RE.sub(COMMIT_ID_PLACEHOLDER, text.lower())
 
 
-def normalize_message(message: str) -> NormalizedMessage:
+def normalize_message(message: str) -> str:
     """Reduce a commit message to its normalized first sentence.
 
     The sentence boundary is the first period followed by whitespace or end
@@ -236,9 +225,9 @@ def normalize_message(message: str) -> NormalizedMessage:
     if newline != -1 and newline < end:
         end = newline
     text = text[:end]
-    text = _ISSUE_REF_RE.sub(ISSUE_ID_PLACEHOLDER, text)
-    text = _HEX_RUN_RE.sub(COMMIT_ID_PLACEHOLDER, text)
-    return NormalizedMessage(text.strip())
+    # Issue references go first: in "#1234567" the digits are an issue id,
+    # not a hex run.
+    return normalize_text(_ISSUE_REF_RE.sub(ISSUE_ID_PLACEHOLDER, text)).strip()
 
 
 def render_lines(lines: Iterable[DiffLine]) -> str:

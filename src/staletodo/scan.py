@@ -26,12 +26,13 @@ from .comments import (
     carve_code_change,  # not called here: bench/tracing.py patches this name
     extract_comments_by_file,  # not called here: bench/tracing.py patches this name
     language_for_path,
-    line_todo_texts,
+    line_todos,
 )
 from .corpus import TripleSample, extract_triple
 from .diffs import (
     LineKind,
     normalize_diff,  # not called here: bench/tracing.py patches this name
+    normalize_text,
     parse_unified_diff,  # not called here: bench/tracing.py patches this name
 )
 from .metrics import DECISION_THRESHOLD
@@ -85,9 +86,10 @@ def candidate_triples(commits: Iterable) -> list[tuple[TripleSample, TodoComment
 def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
     """(file, whitespace-normalized TODO comment text) -> first line at HEAD.
 
-    Only TODO comments are indexed, and only lines holding "todo" in any
-    case are read, which loses nothing: every text looked up is a TODO
-    comment. Binary files are skipped.
+    Each line is normalized as diff lines are (diffs.normalize_text), so a
+    TODO is keyed as its candidate is. Only TODO comments are indexed, and
+    only lines holding "todo" in any case are read, which loses nothing:
+    every text looked up is a TODO comment. Binary files are skipped.
     """
     # git grep exits with 1 when no line matches.
     output = run_git(
@@ -98,9 +100,9 @@ def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
         language = language_for_path(path)
         if language is None:
             continue
-        for text in line_todo_texts(line.lower(), language):
+        for span in line_todos(normalize_text(line), language):
             # git grep lists a file's lines in order: the first hit is the lowest.
-            index.setdefault((path, normalize_ws(text)), int(line_no))
+            index.setdefault((path, normalize_ws(span.text)), int(line_no))
     return index
 
 

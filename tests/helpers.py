@@ -17,16 +17,34 @@ from staletodo.model.vocab import PAD_INDEX
 KIND_BY_CHAR = {"+": LineKind.ADDED, "-": LineKind.REMOVED, " ": LineKind.CONTEXT}
 
 
-def make_line(kind_char, text, file_index=0, hunk_index=0, position=0):
-    return DiffLine(KIND_BY_CHAR[kind_char], text, file_index, hunk_index, position)
+def make_line(kind_char, text, file_index=0, hunk_index=0):
+    return DiffLine(KIND_BY_CHAR[kind_char], text, file_index, hunk_index)
 
 
 def make_doc(specs, byte_size=100, files=(("a.py", "a.py"),)):
     """One-file one-hunk document from [(marker_char, text), ...]."""
-    lines = tuple(
-        make_line(ch, text, position=i) for i, (ch, text) in enumerate(specs)
-    )
+    lines = tuple(make_line(ch, text) for ch, text in specs)
     return DiffDocument(lines=lines, byte_size=byte_size, files=tuple(files))
+
+
+def unified_diff(files):
+    """Diff text of files, each a list of hunk bodies [(marker_char, text), ...].
+
+    Also returns each body line's (file index, hunk index, position in its
+    hunk), in diff order.
+    """
+    parts, places = [], []
+    for file_index, hunks in enumerate(files):
+        path = f"f{file_index}.py"
+        parts += [f"diff --git a/{path} b/{path}", "index 1111111..2222222 100644",
+                  f"--- a/{path}", f"+++ b/{path}"]
+        for hunk_index, body in enumerate(hunks):
+            n_old = sum(marker != "+" for marker, _ in body)
+            n_new = sum(marker != "-" for marker, _ in body)
+            parts.append(f"@@ -1,{n_old} +1,{n_new} @@")
+            parts += [marker + text for marker, text in body]
+            places += [(file_index, hunk_index, i) for i in range(len(body))]
+    return "\n".join(parts) + "\n", places
 
 
 def make_sample(

@@ -2,13 +2,18 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import staletodo.cli as cli
 from helpers import make_separable_corpus, random_sample
+from staletodo.__main__ import BLAS_THREAD_VARIABLES
 from staletodo.baselines import TfidfSpace, added_lines_text, background_documents, irsc
 from staletodo.cli import main
 from staletodo.corpus import read_corpus, split_dataset, write_corpus
@@ -194,6 +199,48 @@ class TestScanCommand:
     def test_scan_missing_model_file(self, scan_repo, tmp_path, capsys):
         code = main(["scan", "--repo", str(scan_repo), "--model", str(tmp_path / "no.npz")])
         assert code == 1
+
+
+# Runs the console entry point on a command that fails at once, then reports
+# whether numpy had loaded before and after, and the BLAS thread variables.
+ENTRY_SCRIPT = """
+import json, os, sys
+import staletodo.__main__ as entry
+before = "numpy" in sys.modules
+code = entry.main(["eval", "--corpus", "missing.jsonl", "--model", "missing.npz"])
+print(json.dumps({
+    "code": code,
+    "numpy_before": before,
+    "numpy_after": "numpy" in sys.modules,
+    "env": {name: os.environ.get(name) for name in entry.BLAS_THREAD_VARIABLES},
+}))
+"""
+
+
+def run_entry(tmp_path, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env.update(env_vars)
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_SCRIPT], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestConsoleEntry:
+    def test_blas_threads_default_to_one_and_a_set_value_is_kept(self, tmp_path):
+        report = run_entry(tmp_path)
+        assert report["code"] == 1
+        assert report["numpy_after"]
+        assert report["env"] == dict.fromkeys(BLAS_THREAD_VARIABLES, "1")
+        report = run_entry(tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert report["env"] == {**dict.fromkeys(BLAS_THREAD_VARIABLES, "1"),
+                                 "OPENBLAS_NUM_THREADS": "2"}
+
+    def test_importing_the_package_loads_no_numpy(self, tmp_path):
+        """The defaults reach BLAS only if numpy loads after them."""
+        assert run_entry(tmp_path)["numpy_before"] is False
 
 
 def per_threshold_sweep(val, space):

@@ -8,7 +8,7 @@ from pathlib import PurePosixPath
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_doc, make_line
+from helpers import make_doc, make_line, unified_diff
 from staletodo.comments import (
     _TODO_TOKEN_RE,
     EXTENSION_LANGUAGES,
@@ -21,10 +21,17 @@ from staletodo.comments import (
     extract_comments_by_file,
     iter_line_comments,
     language_for_path,
-    line_todo_texts,
+    line_todos,
     single_todo_filter,
 )
-from staletodo.diffs import DiffDocument, DiffLine, LineKind, normalize_diff, parse_unified_diff
+from staletodo.diffs import (
+    DiffDocument,
+    DiffLine,
+    LineKind,
+    normalize_diff,
+    parse_unified_diff,
+    render_lines,
+)
 
 
 def comments_of(text, language):
@@ -33,11 +40,14 @@ def comments_of(text, language):
 
 def python_todos(doc):
     """The TODO comments of a document, found as corpus.extract_triple finds them."""
-    return [
-        TodoComment(text=text, line=line, language=Language.PYTHON)
-        for line, text in extract_comments(doc, Language.PYTHON)
-        if contains_todo(text)
-    ]
+    return extract_comments_by_file(doc, (Language.PYTHON,))
+
+
+def todo_at(doc, index, language=Language.PYTHON):
+    """The one TODO comment on doc.lines[index], as the finder carries it."""
+    line = doc.lines[index]
+    (span,) = line_todos(line.text, language)
+    return TodoComment(span.text, line, language, index, span.start, span.end)
 
 
 class TestPythonLexer:
@@ -211,7 +221,7 @@ class TestFindTodos:
 class TestSingleTodoFilter:
     def _todos(self, n):
         return [
-            TodoComment(f"todo {i}", make_line(" ", f"# todo {i}", position=i), Language.PYTHON)
+            TodoComment(f"todo {i}", make_line(" ", f"# todo {i}"), Language.PYTHON, i, 0, 8)
             for i in range(n)
         ]
 
@@ -237,8 +247,7 @@ class TestAssociate:
             else:
                 specs.append((" ", f"line {i}"))
         doc = make_doc(specs)
-        todo = TodoComment("todo: there", doc.lines[todo_pos], Language.PYTHON)
-        return doc, todo
+        return doc, todo_at(doc, todo_pos)
 
     def test_adjacent_added_line(self):
         doc, todo = self._doc_with_todo_at(4, 5)
@@ -258,18 +267,16 @@ class TestAssociate:
 
     def test_own_line_does_not_count(self):
         doc = make_doc([(" ", "a"), ("-", "# todo: gone"), (" ", "b")])
-        todo = TodoComment("todo: gone", doc.lines[1], Language.PYTHON)
-        assert associate(todo, doc) is False
+        assert associate(todo_at(doc, 1), doc) is False
 
     def test_other_hunk_ignored(self):
         lines = (
-            make_line(" ", "# todo: here", hunk_index=0, position=0),
-            make_line("+", "changed()", hunk_index=1, position=1),
+            make_line(" ", "# todo: here", hunk_index=0),
+            make_line("+", "changed()", hunk_index=1),
         )
         doc = make_doc([])
         doc = doc.__class__(lines=lines, byte_size=10, files=(("a.py", "a.py"),))
-        todo = TodoComment("todo: here", lines[0], Language.PYTHON)
-        assert associate(todo, doc) is False
+        assert associate(todo_at(doc, 0), doc) is False
 
     def test_matches_bruteforce_pairwise_oracle(self):
         rng = random.Random(11)
@@ -279,14 +286,48 @@ class TestAssociate:
             todo_pos = rng.randrange(n)
             specs[todo_pos] = (specs[todo_pos][0], "# todo: x")
             doc = make_doc(specs)
-            todo = TodoComment("todo: x", doc.lines[todo_pos], Language.PYTHON)
+            todo = todo_at(doc, todo_pos)
             context = rng.randint(0, 4)
 
+            # One hunk: a line's position in it is its index.
             expected = any(
                 line.kind in (LineKind.ADDED, LineKind.REMOVED)
-                and line.position != todo_pos
-                and abs(line.position - todo_pos) <= context
-                for line in doc.lines
+                and position != todo_pos
+                and abs(position - todo_pos) <= context
+                for position, line in enumerate(doc.lines)
+            )
+            assert associate(todo, doc, context) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.lists(
+                    st.tuples(st.sampled_from("+- "), st.sampled_from(["# todo: x", "x = 1"])),
+                    max_size=8,
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 4),
+    )
+    def test_same_as_in_hunk_position_rule(self, files, context):
+        """Across files and hunks, a changed line associates iff it is in the
+        TODO's file and hunk, is not the TODO line, and its position in the
+        hunk is within context of the TODO's."""
+        text, places = unified_diff(files)
+        doc = parse_unified_diff(text)
+        for todo in python_todos(doc):
+            file_index, hunk_index, position = places[todo.index]
+            expected = any(
+                line.kind is not LineKind.CONTEXT
+                and (f, h) == (file_index, hunk_index)
+                and p != position
+                and abs(p - position) <= context
+                for line, (f, h, p) in zip(doc.lines, places, strict=True)
             )
             assert associate(todo, doc, context) is expected
 
@@ -300,24 +341,21 @@ class TestAssociate:
 class TestCarveCodeChange:
     def test_comment_only_line_dropped(self):
         doc = make_doc([("-", "    # todo: log the message"), ("+", "log(msg)"), (" ", "send()")])
-        todo = TodoComment("todo: log the message", doc.lines[0], Language.PYTHON)
-        cc = carve_code_change(doc, todo)
-        assert len(cc.lines) == 2
-        assert "todo" not in cc.rendered
+        cc = carve_code_change(doc, todo_at(doc, 0))
+        assert len(cc.splitlines()) == 2
+        assert "todo" not in cc
 
     def test_trailing_comment_stripped_code_kept(self):
         doc = make_doc([(" ", "x = big()  # todo: cache this"), ("+", "y = 2")])
-        todo = TodoComment("todo: cache this", doc.lines[0], Language.PYTHON)
-        cc = carve_code_change(doc, todo)
-        assert len(cc.lines) == 2
-        assert cc.lines[0].text == "x = big()"
-        assert "todo" not in cc.rendered
+        cc = carve_code_change(doc, todo_at(doc, 0))
+        assert len(cc.splitlines()) == 2
+        assert cc.splitlines()[0] == " x = big()"
+        assert "todo" not in cc
 
     def test_java_block_comment_mid_line(self):
         doc = make_doc([("-", "int a; /* todo: drop */ b();")])
-        todo = TodoComment("todo: drop", doc.lines[0], Language.JAVA)
-        cc = carve_code_change(doc, todo)
-        assert cc.lines[0].text == "int a;  b();"
+        cc = carve_code_change(doc, todo_at(doc, 0, Language.JAVA))
+        assert cc.splitlines()[0] == "-int a;  b();"
 
     def test_fig5_positive_shape(self):
         diff = (
@@ -335,15 +373,13 @@ class TestCarveCodeChange:
         assert todo.text == "todo: log the message"
         assert todo.line.kind is LineKind.REMOVED
         cc = carve_code_change(doc, todo)
-        assert "logging.info(msg)" in cc.rendered
-        assert "todo" not in cc.rendered
-        assert cc.rendered.splitlines()[1] == "+    logging.info(msg)"
+        assert "logging.info(msg)" in cc
+        assert "todo" not in cc
+        assert cc.splitlines()[1] == "+    logging.info(msg)"
 
     def test_rendered_keeps_markers(self):
         doc = make_doc([("+", "a"), ("-", "b"), (" ", "c"), ("-", "# todo: x")])
-        todo = TodoComment("todo: x", doc.lines[3], Language.PYTHON)
-        cc = carve_code_change(doc, todo)
-        assert cc.rendered == "+a\n-b\n c"
+        assert carve_code_change(doc, todo_at(doc, 3)) == "+a\n-b\n c"
 
     def test_todo_text_never_in_rendered(self):
         rng = random.Random(5)
@@ -354,9 +390,7 @@ class TestCarveCodeChange:
             text = "# todo: remove me" if comment_only else "x = 1 # todo: remove me"
             specs = filler[:pos] + [(rng.choice("+- "), text)] + filler[pos:]
             doc = make_doc(specs)
-            todo = TodoComment("todo: remove me", doc.lines[pos], Language.PYTHON)
-            cc = carve_code_change(doc, todo)
-            assert "todo: remove me" not in cc.rendered
+            assert "todo: remove me" not in carve_code_change(doc, todo_at(doc, pos))
 
 
 # Pieces of source lines: TODO markers bare and glued to letters or digits,
@@ -374,15 +408,63 @@ _FILES = (("a.py", "a.py"), (None, "B.java"), ("c.txt", "c.txt"), ("D.PY", None)
 def every_line_todos(doc, languages):
     """Reference finder: lex every line, keep the comments holding TODO."""
     found = []
-    for line in doc.lines:
+    for index, line in enumerate(doc.lines):
         old, new = doc.files[line.file_index]
         language = language_for_path(new or old)
         if language not in languages:
             continue
         for span in iter_line_comments(line.text, language):
             if contains_todo(span.text):
-                found.append(TodoComment(text=span.text, line=line, language=language))
+                found.append(
+                    TodoComment(span.text, line, language, index, span.start, span.end)
+                )
     return found
+
+
+def carve_by_relexing(doc, todo):
+    """Reference carver: lex the TODO line again and excise the first
+    comment whose text is the TODO's; drop the line if nothing remains."""
+    kept = []
+    for index, line in enumerate(doc.lines):
+        if index == todo.index:
+            span = next(s for s in iter_line_comments(line.text, todo.language) if s.text == todo.text)
+            remainder = line.text[: span.start] + line.text[span.end :]
+            if not remainder.strip():
+                continue
+            line = line._replace(text=remainder.rstrip())
+        kept.append(line)
+    return render_lines(kept)
+
+
+class TestCarveAgainstRelexing:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(LineKind), st.integers(0, len(_FILES) - 1), _SOURCE_LINE),
+            max_size=8,
+        )
+    )
+    @example(
+        [
+            (LineKind.CONTEXT, 0, 's = "#x"  # todo: a'),
+            (LineKind.REMOVED, 1, 's = "//"; x(); // todo: b'),
+            (LineKind.ADDED, 1, "/* note */ y(); // todo: c"),
+            (LineKind.CONTEXT, 1, "/* todo: d */ y(); // other"),
+            (LineKind.REMOVED, 1, "/* todo */ z(); // todo"),
+            (LineKind.ADDED, 0, "# todo: alone"),
+        ]
+    )
+    def test_same_as_carving_by_relexing(self, specs):
+        """Where the first comment on the line with the TODO's text is the
+        TODO itself, the finder's span carves what lexing again carves."""
+        lines = tuple(DiffLine(kind, text, file_index, 0) for kind, file_index, text in specs)
+        doc = DiffDocument(lines=lines, byte_size=100, files=_FILES)
+        for todo in extract_comments_by_file(doc, tuple(Language)):
+            first = next(
+                s for s in iter_line_comments(todo.line.text, todo.language) if s.text == todo.text
+            )
+            if first.start == todo.start:
+                assert carve_code_change(doc, todo) == carve_by_relexing(doc, todo)
 
 
 class TestTodoFinder:
@@ -407,8 +489,7 @@ class TestTodoFinder:
     )
     def test_same_todos_as_lexing_every_line(self, specs, languages):
         lines = tuple(
-            DiffLine(kind, text, file_index, 0, i)
-            for i, (kind, file_index, text) in enumerate(specs)
+            DiffLine(kind, text, file_index, 0) for kind, file_index, text in specs
         )
         doc = DiffDocument(lines=lines, byte_size=100, files=_FILES)
         assert extract_comments_by_file(doc, languages) == every_line_todos(doc, languages)
@@ -417,9 +498,9 @@ class TestTodoFinder:
     @given(_SOURCE_LINE, st.sampled_from(Language))
     @example("x = 1  # TODO: Fix", Language.PYTHON)
     @example('s = "/* todo */"; /* ToDo: a */ // Σ todo', Language.JAVA)
-    def test_line_todo_texts_keeps_the_todo_comments(self, text, language):
-        expected = [s.text for s in iter_line_comments(text, language) if contains_todo(s.text)]
-        assert line_todo_texts(text, language) == expected
+    def test_line_todos_keeps_the_todo_comments(self, text, language):
+        expected = [s for s in iter_line_comments(text, language) if contains_todo(s.text)]
+        assert line_todos(text, language) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_SOURCE_LINE, st.text()))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, make_doc, make_sample
-from staletodo.comments import CodeChange, Language, TodoComment
+from staletodo.comments import Language, TodoComment
 from staletodo.corpus import (
     Insufficient,
     Label,
@@ -24,7 +24,7 @@ from staletodo.corpus import (
     split_dataset,
     write_corpus,
 )
-from staletodo.diffs import LineKind, NormalizedMessage, RawCommit
+from staletodo.diffs import LineKind, RawCommit
 
 
 def commit_with_diff(body_lines, commit_id="abc1234", message="do things."):
@@ -102,10 +102,9 @@ class TestLabelTriple:
     def test_totality_over_kinds(self):
         for kind in LineKind:
             line = make_doc([("+", "# todo x")]).lines[0]
-            line = line.__class__(kind, line.text, 0, 0, 0)
-            todo = TodoComment("todo x", line, Language.PYTHON)
-            cc = CodeChange(lines=(), rendered="+y = 1")
-            result = label_triple(todo, cc, NormalizedMessage("m."))
+            line = line.__class__(kind, line.text, 0, 0)
+            todo = TodoComment("todo x", line, Language.PYTHON, 0, 0, len(line.text))
+            result = label_triple(todo, "+y = 1", "m.")
             if kind is LineKind.ADDED:
                 assert result is None
             elif kind is LineKind.REMOVED:
@@ -307,6 +306,18 @@ class TestStats:
         assert stats_mem.positives + stats_mem.negatives == (
             stats_mem.train_size + stats_mem.val_size + stats_mem.test_size
         )
+
+    def test_sizes_are_the_split_sizes(self):
+        for n in range(40):
+            samples = [make_sample(commit_id=f"c{i}") for i in range(n)]
+            stats = corpus_stats(samples, todo_commits=n)
+            if n < 10:
+                assert (stats.train_size, stats.val_size, stats.test_size) == (n, 0, 0)
+                continue
+            split = split_dataset(samples, seed=n)
+            assert (stats.train_size, stats.val_size, stats.test_size) == (
+                len(split.train), len(split.val), len(split.test)
+            )
 
     def test_render_mirrors_table_rows(self):
         stats = corpus_stats([make_sample(commit_id=f"c{i}") for i in range(20)], 33)

@@ -5,10 +5,10 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_doc
+from helpers import make_doc, unified_diff
 from staletodo.diffs import (
     MAX_DIFF_BYTES,
     DiffDocument,
@@ -108,9 +108,13 @@ class TestParse:
 
     def test_lines_keep_document_order(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
-        keys = [(l.file_index, l.hunk_index, l.position) for l in doc.lines]
+        keys = [(l.file_index, l.hunk_index) for l in doc.lines]
         assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        body = [
+            line[1:] for line in FIXTURE_DIFF.splitlines()
+            if line[:1] in ("+", "-", " ") and not line.startswith(("+++", "---"))
+        ]
+        assert [l.text for l in doc.lines] == body
 
     def test_marker_stripped_from_text(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
@@ -291,42 +295,39 @@ class TestNormalizeDiff:
             twice = normalize_diff(once)
             assert once == twice
 
-    def test_kind_and_position_preserved(self):
+    def test_kind_and_hunk_preserved(self):
         doc = make_doc([("+", "A"), ("-", "B"), (" ", "C")])
         norm = normalize_diff(doc)
-        assert [(l.kind, l.position) for l in norm.lines] == [
-            (l.kind, l.position) for l in doc.lines
+        assert [(l.kind, l.file_index, l.hunk_index) for l in norm.lines] == [
+            (l.kind, l.file_index, l.hunk_index) for l in doc.lines
         ]
 
 
 class TestNormalizeMessage:
     def test_first_sentence_rule(self):
-        assert normalize_message("Fix bug. Also refactor tests.").text == "fix bug."
+        assert normalize_message("Fix bug. Also refactor tests.") == "fix bug."
 
     def test_issue_reference_placeholder(self):
-        assert normalize_message("resolve #123 crash").text == "resolve <issue_id> crash"
+        assert normalize_message("resolve #123 crash") == "resolve <issue_id> crash"
 
     def test_commit_id_placeholder(self):
-        assert (
-            normalize_message("Revert commit a1b2c3d4e5f6a7b8").text
-            == "revert commit <commit_id>"
-        )
+        assert normalize_message("Revert commit a1b2c3d4e5f6a7b8") == "revert commit <commit_id>"
 
     def test_newline_ends_sentence(self):
-        assert normalize_message("Add feature\nwith details").text == "add feature"
+        assert normalize_message("Add feature\nwith details") == "add feature"
 
     def test_period_without_space_not_a_boundary(self):
-        assert normalize_message("bump to v1.2 now").text == "bump to v1.2 now"
+        assert normalize_message("bump to v1.2 now") == "bump to v1.2 now"
 
     def test_period_at_end_kept(self):
-        assert normalize_message("Tidy up.").text == "tidy up."
+        assert normalize_message("Tidy up.") == "tidy up."
 
     def test_empty_message(self):
-        assert normalize_message("").text == ""
-        assert normalize_message("   \n").text == ""
+        assert normalize_message("") == ""
+        assert normalize_message("   \n") == ""
 
     def test_whitespace_trimmed(self):
-        assert normalize_message("  Fix it  ").text == "fix it"
+        assert normalize_message("  Fix it  ") == "fix it"
 
 
 class TestLineScopes:
@@ -360,8 +361,7 @@ class TestNormalizeDiffOnePass:
         doc = make_doc(specs)
         assert normalize_diff(doc) == DiffDocument(
             lines=tuple(
-                DiffLine(line.kind, normalize_text(line.text), line.file_index,
-                         line.hunk_index, line.position)
+                DiffLine(line.kind, normalize_text(line.text), line.file_index, line.hunk_index)
                 for line in doc.lines
             ),
             byte_size=doc.byte_size,
@@ -375,26 +375,29 @@ class TestNormalizeDiffOnePass:
         ]
 
 
+class TestNormalizeMessagePlaceholders:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_TEXT, st.sampled_from(["#1234567", "#12", ". ", ".", "\n"])),
+                    max_size=6).map("".join))
+    @example("Fix #1234567 after DEADBEEF1. Then more")
+    def test_issue_ids_then_hex_runs_in_the_first_sentence(self, message):
+        """The first sentence, lowercased, with issue references replaced
+        first and hex runs second, each by its own pattern."""
+        text = re.split(r"(?<=\.)(?=\s|$)|\n", message.lower(), maxsplit=1)[0]
+        text = re.sub(r"#\d+", "<issue_id>", text)
+        text = re.sub(r"\b(?=[0-9a-f]*\d)[0-9a-f]{7,40}\b", "<commit_id>", text)
+        assert normalize_message(message) == text.strip()
+
+
 class TestParseRenderRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(_BODY, min_size=1, max_size=3), max_size=3))
     def test_body_lines_come_back(self, files):
         """Every hunk body line parses to one DiffLine, and rendering the
         lines gives the body lines back, whatever text they hold."""
-        parts, bodies, places = [], [], []
-        for file_index, hunks in enumerate(files):
-            path = f"f{file_index}.py"
-            parts += [f"diff --git a/{path} b/{path}", "index 1111111..2222222 100644",
-                      f"--- a/{path}", f"+++ b/{path}"]
-            for hunk_index, body in enumerate(hunks):
-                n_old = sum(marker != "+" for marker, _ in body)
-                n_new = sum(marker != "-" for marker, _ in body)
-                parts.append(f"@@ -1,{n_old} +1,{n_new} @@")
-                lines = [marker + text for marker, text in body]
-                parts += lines
-                bodies += lines
-                places += [(file_index, hunk_index, i) for i in range(len(body))]
-        doc = parse_unified_diff("\n".join(parts) + "\n")
+        text, places = unified_diff(files)
+        doc = parse_unified_diff(text)
+        bodies = [marker + line for hunks in files for body in hunks for marker, line in body]
         assert render_lines(doc.lines) == "\n".join(bodies)
-        assert [(l.file_index, l.hunk_index, l.position) for l in doc.lines] == places
+        assert [(l.file_index, l.hunk_index) for l in doc.lines] == [p[:2] for p in places]
         assert len(doc.files) == len(files)

@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import os
 
 import pytest
 
@@ -67,6 +68,23 @@ class TestMineRepository:
 
         repo = init_repo(tmp_path / "empty_repo")
         assert list(mine_repository(repo)) == []
+
+
+class TestUserGitConfig:
+    def test_hostile_settings_change_nothing(self, mining_repo, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        plain = list(mine_repository(mining_repo))
+        hostile = tmp_path / "gitconfig"
+        hostile.write_text(
+            "[diff]\n\tnoprefix = true\n\tmnemonicPrefix = true\n"
+            "[log]\n\tabbrevCommit = true\n\tshowRoot = false\n"
+            "[format]\n\tpretty = oneline\n"
+        )
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(hostile))
+        assert list(mine_repository(mining_repo)) == plain
+        assert len(plain) == 5
+        assert all(len(commit.commit_id) == 40 and commit.diff_text for commit in plain)
 
 
 class TestLineBreaks:

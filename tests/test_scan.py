@@ -16,7 +16,7 @@ from helpers import (
 )
 from staletodo.comments import Language, contains_todo, iter_line_comments
 from staletodo.corpus import extract_triple
-from staletodo.diffs import LineKind
+from staletodo.diffs import LineKind, normalize_text
 from staletodo.mining import NotARepository, mine_repository
 from staletodo.scan import (
     FindingKind,
@@ -297,7 +297,7 @@ class TestSameTextInTwoFiles:
 
 
 def per_file_index(repo):
-    """Reference HEAD index: one git show per file, every line lexed."""
+    """Reference HEAD index: one git show per file, every normalized line lexed."""
     index = {}
     for path in git(repo, "ls-tree", "-r", "-z", "--name-only", "HEAD").split("\0"):
         language = language_for_path(path)
@@ -307,7 +307,7 @@ def per_file_index(repo):
         if "\0" in content:  # binary: git grep -I skips it
             continue
         for line_no, line in enumerate(content.split("\n"), start=1):
-            for span in iter_line_comments(line.lower(), language):
+            for span in iter_line_comments(normalize_text(line), language):
                 index.setdefault((path, normalize_ws(span.text)), line_no)
     return index
 
@@ -320,6 +320,7 @@ class TestHeadIndex:
             "X.PY": "# todo: upper-case extension\n",
             "src/M.java": "int a; // todo: java one\n/* TODO block */ int b; // todo: two\n",
             "s.py": "s = '# todo: in a string'\ntodo = 1  # no marker here\n",
+            "h.py": "# TODO: drop after release 20240101 ships\n",
             "notes.txt": "# todo: not source\n",
             "bin.py": "\0# todo: binary\n",
         }
@@ -337,6 +338,21 @@ class TestHeadIndex:
         assert ("X.PY", "todo: upper-case extension") in index
         assert ("src/M.java", "todo: two") in index
         assert not [key for key in index if key[0] in ("notes.txt", "bin.py")]
+
+    def test_todo_with_a_hex_run_is_found_at_head(self, tmp_path):
+        """A candidate's text has its hex runs replaced; HEAD's key must too."""
+        repo = init_repo(tmp_path / "repo")
+        (repo / "a.py").write_text("x = 1\n# TODO: drop after release 20240101 ships\ny = 2\n")
+        commit_all(repo, "add module", 1)
+        (repo / "a.py").write_text("x = 1\n# TODO: drop after release 20240101 ships\ny = 3\n")
+        resolving = commit_all(repo, "set y to 3", 2)
+        assert [
+            (f.file_path, f.line_no, f.commit_id, f.classification, f.todo_text)
+            for f in scan_repository(str(repo), always_resolved)
+        ] == [
+            ("a.py", 2, resolving, FindingKind.POTENTIAL_OBSOLETE,
+             "todo: drop after release <commit_id> ships"),
+        ]
 
     def test_no_todo_at_head_gives_empty_index(self, tmp_path):
         repo = init_repo(tmp_path / "repo")
