@@ -80,12 +80,13 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_store(args) -> Optional[ExternalVectorStore]:
-    if args.backend == "external":
-        if not args.vectors:
-            raise ValueError("--backend external requires --vectors")
-        return ExternalVectorStore.read(args.vectors)
-    return None
+def _vector_store(args, backend: str) -> Optional[ExternalVectorStore]:
+    """The --vectors store that the external backend reads; None for the internal one."""
+    if backend != "external":
+        return None
+    if not args.vectors:
+        raise ValueError("the external backend requires --vectors")
+    return ExternalVectorStore.read(args.vectors)
 
 
 def _cmd_train(args) -> int:
@@ -94,8 +95,7 @@ def _cmd_train(args) -> int:
     # Each train option's dest is a TrainConfig field name.
     options = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
     config = TrainConfig(**{**options, "component_mask": parse_mask(args.component_mask)})
-    store = _load_store(args)
-    model, history = train(split, config, store)
+    model, history = train(split, config, _vector_store(args, config.backend))
     save_model(model, args.out)
     best = next(
         (v for v in history.validations if v.batch == history.best_batch), None
@@ -117,11 +117,7 @@ def _cmd_train(args) -> int:
 def _load_scorer(args) -> Callable[[Sequence[TripleSample]], Sequence[float]]:
     """predict_scores bound to the --model file (and --vectors if it needs them)."""
     model = load_model(args.model)
-    store = None
-    if model.config.backend == "external":
-        if not args.vectors:
-            raise ValueError("an external-backend model requires --vectors")
-        store = ExternalVectorStore.read(args.vectors)
+    store = _vector_store(args, model.config.backend)
     return lambda samples: predict_scores(samples, model, store)
 
 

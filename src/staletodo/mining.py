@@ -26,13 +26,16 @@ from .diffs import RawCommit
 log = logging.getLogger(__name__)
 
 # core.quotePath=false keeps non-ASCII paths unquoted in diff headers. The
-# format, full commit ids, a/ and b/ path prefixes and the root commit's diff
-# are spelled out, so that no user setting (format.pretty, log.abbrevCommit,
-# diff.noprefix, log.showRoot) changes what is mined.
+# format, full commit ids, a/ and b/ path prefixes, the root commit's diff
+# and the hunks' shape are spelled out, so that no user setting
+# (format.pretty, log.abbrevCommit, diff.noprefix, log.showRoot,
+# diff.interHunkContext, diff.algorithm, diff.indentHeuristic) changes what
+# is mined. The hunk flags are git's defaults.
 GIT_LOG_ARGS = (
     "-c", "core.quotePath=false", "log", "-p", "--no-color", "--no-renames",
     f"-U{DEFAULT_CONTEXT_LINES}", "--format=medium", "--no-abbrev-commit",
     "--src-prefix=a/", "--dst-prefix=b/", "--root",
+    "--inter-hunk-context=0", "--diff-algorithm=myers", "--indent-heuristic",
 )
 
 _COMMIT_HEADER_RE = re.compile(r"^commit ([0-9a-f]{7,40})\b")

@@ -95,14 +95,15 @@ def init_mlp(rng: np.random.Generator, input_dim: int, hidden_sizes: Sequence[in
 
 
 def mean_pool(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Mean of the embedding rows of non-PAD tokens; zero when all PAD.
+    """Mean of the embedding rows of non-PAD tokens, in the table's dtype;
+    zero when all PAD.
 
     PAD tokens add the PAD row, which is zero and which training never updates.
     For dim > 1 numpy sums the token axis in order, so all-PAD columns after
     the tokens only add +0.0 (no table entry is -0.0) and change no bit; at
     dim 1 it sums that axis pairwise, and they may.
     """
-    counts = np.maximum((ids != PAD_INDEX).sum(axis=1), 1)
+    counts = np.maximum((ids != PAD_INDEX).sum(axis=1), 1).astype(table.dtype)
     return table[ids].sum(axis=1) / counts[:, None]
 
 
@@ -153,7 +154,7 @@ def forward(
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         if rng is not None:
             keep = 1.0 - DROPOUT_RATE
-            mask = (rng.random(z.shape) < keep) / keep
+            mask = ((rng.random(z.shape) < keep) / keep).astype(z.dtype)
             z = z * mask
         else:
             mask = None
@@ -194,7 +195,7 @@ def mlp_backward(mlp: MlpParams, cache: ForwardCache, label) -> tuple[Gradients,
         raise ShapeMismatch(f"{y.shape[0]} labels for {scores.shape[0]} scores")
     batch = scores.shape[0]
     inner = (scores > LOSS_EPS) & (scores < 1.0 - LOSS_EPS)
-    g = np.where(inner, scores - y, 0.0)[:, None] / batch
+    g = (np.where(inner, scores - y, 0.0)[:, None] / batch).astype(cache.preacts[-1].dtype)
 
     grad_w: list[np.ndarray] = [np.empty(0)] * len(mlp.weights)
     grad_b: list[np.ndarray] = [np.empty(0)] * len(mlp.biases)
@@ -219,9 +220,9 @@ def embedding_gradient(
     table that the batch used.
 
     The scatter runs over the flat (rows * dim) values at slot*dim + column,
-    adding each entry's contributions in token order from 0.0, as a scatter
-    into a dense zero table would add them, so the values are bit-identical
-    to it.
+    adding each entry's contributions in token order from 0.0 in float64, as
+    a scatter into a dense zero table would add them, so the values are
+    bit-identical to it. They are then rounded once to d_h's dtype.
     """
     mask = ids != PAD_INDEX
     lengths = mask.sum(axis=1)
@@ -233,4 +234,5 @@ def embedding_gradient(
         weights=np.repeat(contrib, lengths, axis=0).reshape(-1),
         minlength=rows.size * dim,
     )
-    return RowGradient(rows=rows, values=values.reshape(rows.size, dim), num_rows=vocab_size)
+    values = values.reshape(rows.size, dim).astype(d_h.dtype, copy=False)
+    return RowGradient(rows=rows, values=values, num_rows=vocab_size)

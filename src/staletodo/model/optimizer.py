@@ -2,7 +2,8 @@
 
 A gradient is either a dense array shaped like its parameter or a
 RowGradient: the gradient of an embedding table, which is zero outside the
-few rows a batch used. Adam keeps two moments shaped like each parameter.
+few rows a batch used. Adam keeps two moments shaped like each parameter,
+in its dtype, and runs each step in that dtype.
 Each step runs BLOCK_ROWS rows at a time, in one pass per block: it decays
 the block's rows of both moments, adds the gradient rows that fall in the
 block, and updates the block's parameter rows through two block-sized
@@ -23,14 +24,14 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-# Rows per block of the step. A 1024 x 128 block of float64 is 1 MiB, so the
-# scratch buffers take a few MiB whatever the table's size.
+# Rows per block of the step. A 1024 x 128 block is 0.5 MiB of float32 (1 MiB
+# of float64), so the scratch buffers take a few MiB whatever the table's size.
 BLOCK_ROWS = 1024
-# Parameters of at least this many entries (8 MiB of float64) share their
-# blocks with the helper thread. Starting and joining it costs about 0.2 ms
-# a step, and on a 2-vCPU VM the split step over a 3,035 x 32 table was
-# slower than one thread, while over a 20,438 x 128 one it took 12-18 ms
-# instead of 23-27.
+# Parameters of at least this many entries (4 MiB of float32, 8 MiB of
+# float64) share their blocks with the helper thread. Starting and joining it
+# costs about 0.2 ms a step, and on a 2-vCPU VM the float64 split step over a
+# 3,035 x 32 table was slower than one thread, while over a 20,438 x 128 one
+# it took 12-18 ms instead of 23-27.
 SPLIT_ENTRIES = 1 << 20
 
 
@@ -41,11 +42,6 @@ class RowGradient:
     rows: np.ndarray  # unique row indices, ascending
     values: np.ndarray  # (len(rows), dim)
     num_rows: int
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.num_rows, self.values.shape[1]))
-        dense[self.rows] = self.values
-        return dense
 
 
 Gradient = Union[np.ndarray, RowGradient]
@@ -75,7 +71,8 @@ def clip_gradients(arrays: Sequence[Gradient], max_norm: float) -> list[Gradient
 
 @dataclass
 class AdamState:
-    """First and second moments shaped like each parameter, and the step count."""
+    """First and second moments shaped like each parameter, in its dtype,
+    and the step count."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -83,7 +80,10 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros(p.shape) for p in params], v=[np.zeros(p.shape) for p in params])
+        return cls(
+            m=[np.zeros(p.shape, p.dtype) for p in params],
+            v=[np.zeros(p.shape, p.dtype) for p in params],
+        )
 
 
 def adam_step(
@@ -119,9 +119,13 @@ def adam_step(
     for p, g, m, v in zip(params, grads, state.m, state.v):
         blocks = _blocks(p, g, m, v)
         (shared if p.size >= SPLIT_ENTRIES and len(blocks) > 1 else own).extend(blocks)
-    size = max((p.size for p, *_ in own + shared), default=0)
+    # Scratch for any block, in the parameters' dtype.
+    scratch = (
+        max((p.size for p, *_ in own + shared), default=0),
+        np.result_type(*params) if params else np.float64,
+    )
     if not shared:
-        _step_blocks(own, hyper, size)
+        _step_blocks(own, hyper, scratch)
         return
     lock = threading.Lock()
     pending = iter(shared)
@@ -131,8 +135,8 @@ def adam_step(
             return next(pending, None)
 
     with ThreadPoolExecutor(max_workers=1) as helper:
-        done = helper.submit(_step_blocks, iter(take, None), hyper, size)
-        _step_blocks(itertools.chain(own, iter(take, None)), hyper, size)
+        done = helper.submit(_step_blocks, iter(take, None), hyper, scratch)
+        _step_blocks(itertools.chain(own, iter(take, None)), hyper, scratch)
         done.result()
 
 
@@ -158,13 +162,15 @@ def _blocks(p: np.ndarray, g: Gradient, m: np.ndarray, v: np.ndarray) -> list[_B
     return blocks
 
 
-def _step_blocks(blocks: Iterable[_Block], hyper: tuple[float, ...], size: int) -> None:
+def _step_blocks(
+    blocks: Iterable[_Block], hyper: tuple[float, ...], scratch: tuple[int, np.dtype]
+) -> None:
     """The whole Adam step of each block, in the dense formula's order:
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps). No block has more than size
-    entries."""
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps). scratch gives the size, at
+    least any block's, and the dtype of the two scratch buffers."""
     lr, beta1, beta2, c1, c2, eps = hyper
-    num_buf, den_buf = np.empty(size), np.empty(size)
+    num_buf, den_buf = np.empty(*scratch), np.empty(*scratch)
     for p, m, v, rows, g in blocks:
         m *= beta1
         v *= beta2

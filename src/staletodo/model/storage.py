@@ -3,9 +3,12 @@
 The model file is a numpy .npz archive: each parameter is a bit-exact array
 under its ModelParams.arrays name, the layers' count and widths included,
 and a JSON header holds only the format version, the config echo and each
-encoder's vocabulary (in component order). It holds no optimizer state, and
-an external-backend model holds no vocabulary. A missing entry, a meta entry
-of the wrong type or an array nothing reads raises ModelFileError.
+encoder's vocabulary (in component order). Arrays are float32, as train
+makes them, or float64, as it made them before; a model computes in the
+dtype it loads with. The file holds no optimizer state, and an
+external-backend model holds no vocabulary. A missing entry, a meta entry
+of the wrong type, an array of another dtype or an array nothing reads
+raises ModelFileError.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -24,6 +27,7 @@ import numpy as np
 
 FORMAT_VERSION = 3
 EXTERNAL_DIM = 768
+PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class MissingExternalVector(KeyError):
@@ -158,7 +162,18 @@ def load_model(path: str):
                 f"encoders {[c.value for c in vocabs]} do not match the config's"
                 f" {[c.value for c in expected]}"
             )
-        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+        arrays = {}
+        for name in archive.files:
+            if name == "meta":
+                continue
+            try:
+                arrays[name] = archive[name]
+            except ValueError as exc:  # such as an object array, which needs pickle
+                raise ModelFileError(f"array {name!r}: {exc}") from None
+            if arrays[name].dtype not in PARAM_DTYPES:
+                raise ModelFileError(
+                    f"array {name!r} is {arrays[name].dtype}, not float32 or float64"
+                )
     try:
         model = ModelParams.from_arrays(arrays, vocabs, config)
     except KeyError as exc:

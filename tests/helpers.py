@@ -12,6 +12,7 @@ from staletodo.corpus import Label, TripleSample
 from staletodo.diffs import DiffDocument, DiffLine, LineKind, RawCommit
 from staletodo.model import bce_loss, forward, init_mlp, mean_pool, mlp_backward
 from staletodo.model.network import embedding_gradient
+from staletodo.model.optimizer import RowGradient
 from staletodo.model.vocab import PAD_INDEX
 
 KIND_BY_CHAR = {"+": LineKind.ADDED, "-": LineKind.REMOVED, " ": LineKind.CONTEXT}
@@ -216,6 +217,26 @@ def commit_all(repo: Path, message: str, serial: int) -> str:
     return git(repo, "rev-parse", "HEAD").strip()
 
 
+def planted_vectors(samples, seed=0):
+    """Synthetic 768-wide encoder outputs for each text of the samples, as
+    {text: vector}: noise, with the sample's class planted in the first axis."""
+    rng = np.random.default_rng(seed)
+    vectors = {}
+    for sample in samples:
+        for text in (sample.code_change, sample.todo_comment, sample.commit_msg):
+            vector = rng.normal(scale=0.01, size=768)
+            vector[0] = 1.0 if sample.label is Label.POSITIVE else -1.0
+            vectors[text] = vector
+    return vectors
+
+
+def to_dense(grad: RowGradient) -> np.ndarray:
+    """The (num_rows, dim) table of a RowGradient, in its values' dtype."""
+    dense = np.zeros((grad.num_rows, grad.values.shape[1]), grad.values.dtype)
+    dense[grad.rows] = grad.values
+    return dense
+
+
 def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     on one random small model instance (three encoders plus MLP)."""
@@ -245,9 +266,7 @@ def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:
     _, cache = loss_and_cache()
     grads, d_input = mlp_backward(mlp, cache, labels)
     emb_grads = [
-        embedding_gradient(
-            d_input[:, i * dim : (i + 1) * dim], ids[i], vocab_size, dim
-        ).to_dense()
+        to_dense(embedding_gradient(d_input[:, i * dim : (i + 1) * dim], ids[i], vocab_size, dim))
         for i in range(3)
     ]
     # The PAD row (row 0) is not a parameter: views of the other rows only.

@@ -12,14 +12,25 @@ import numpy as np
 import pytest
 
 import staletodo.cli as cli
-from helpers import make_separable_corpus, random_sample
+from helpers import make_separable_corpus, planted_vectors, random_sample
 from staletodo.__main__ import BLAS_THREAD_VARIABLES
 from staletodo.baselines import TfidfSpace, added_lines_text, background_documents, irsc
 from staletodo.cli import main
-from staletodo.corpus import read_corpus, split_dataset, write_corpus
-from staletodo.metrics import evaluate
-from staletodo.model import TrainConfig, build_vocab, component_text
+from staletodo.corpus import Label, read_corpus, split_dataset, write_corpus
+from staletodo.diffs import LineKind
+from staletodo.metrics import confusion, evaluate, metrics, report_record, status_of
+from staletodo.mining import mine_repository
+from staletodo.model import (
+    ExternalVectorStore,
+    TrainConfig,
+    build_vocab,
+    component_text,
+    load_model,
+    predict_scores,
+    write_external_vectors,
+)
 from staletodo.model.network import Component
+from staletodo.scan import candidate_triples, scan_repository, write_findings
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +210,86 @@ class TestScanCommand:
     def test_scan_missing_model_file(self, scan_repo, tmp_path, capsys):
         code = main(["scan", "--repo", str(scan_repo), "--model", str(tmp_path / "no.npz")])
         assert code == 1
+
+
+class TestExternalBackend:
+    """train --backend external --vectors, then eval and scan with that model."""
+
+    @pytest.fixture(scope="class")
+    def external(self, tmp_path_factory, synthetic_corpus_path, scan_repo):
+        # Vectors for every corpus text and for the scan's candidates, which
+        # are planted as resolved so that the model reports them.
+        root = tmp_path_factory.mktemp("external")
+        candidates = [
+            dataclasses.replace(sample, label=Label.POSITIVE, todo_line_kind=LineKind.REMOVED)
+            for sample, _, _ in candidate_triples(mine_repository(str(scan_repo)))
+        ]
+        vectors = planted_vectors(read_corpus(synthetic_corpus_path) + candidates)
+        vectors_path, model_path = str(root / "vectors.txt"), str(root / "model.npz")
+        write_external_vectors(vectors_path, vectors.items())
+        argv = ["train", "--corpus", synthetic_corpus_path, "--out", model_path,
+                "--backend", "external", "--vectors", vectors_path,
+                "--epochs", "30", "--validate-every", "10", "--seed", "3"]
+        assert main(argv) == 0
+        return vectors_path, model_path
+
+    def scorer(self, external):
+        vectors_path, model_path = external
+        model, store = load_model(model_path), ExternalVectorStore.read(vectors_path)
+        return model, lambda samples: predict_scores(samples, model, store)
+
+    def test_model_file_is_a_float32_external_model(self, external):
+        model, _ = self.scorer(external)
+        assert model.config.backend == "external" and model.encoders == {}
+        assert {a.dtype for a in model.arrays().values()} == {np.dtype(np.float32)}
+
+    def test_eval_records_the_scores_of_the_model_and_vectors(
+        self, external, synthetic_corpus_path, tmp_path
+    ):
+        vectors_path, model_path = external
+        records = str(tmp_path / "records.jsonl")
+        argv = ["eval", "--corpus", synthetic_corpus_path, "--model", model_path,
+                "--vectors", vectors_path, "--records", records]
+        assert main(argv) == 0
+        test = list(split_dataset(read_corpus(synthetic_corpus_path), seed=0).test)
+        statuses = [status_of(score) for score in self.scorer(external)[1](test)]
+        report = metrics(
+            confusion(statuses, [s.label for s in test]),
+            method="classifier",
+            dataset=synthetic_corpus_path,
+        )
+        rows = [json.loads(line) for line in open(records, encoding="utf-8")]
+        assert rows == [report_record(report)]
+        assert report.f1 == 1.0
+
+    def test_scan_reports_what_the_model_and_vectors_score(self, external, scan_repo, tmp_path):
+        vectors_path, model_path = external
+        report = str(tmp_path / "findings.jsonl")
+        argv = ["scan", "--repo", str(scan_repo), "--model", model_path,
+                "--vectors", vectors_path, "--report", report]
+        assert main(argv) == 0
+        expected = str(tmp_path / "expected.jsonl")
+        write_findings(scan_repository(str(scan_repo), self.scorer(external)[1]), expected)
+        assert open(report, encoding="utf-8").read() == open(expected, encoding="utf-8").read()
+        kinds = [json.loads(line)["classification"] for line in open(report, encoding="utf-8")]
+        assert sorted(kinds) == ["intermediate_obsolete", "potential_obsolete"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "scan"])
+    def test_missing_vectors_is_a_value_error_record(
+        self, external, command, synthetic_corpus_path, scan_repo, tmp_path, capsys
+    ):
+        _, model_path = external
+        argv = {
+            "train": ["train", "--corpus", synthetic_corpus_path, "--backend", "external",
+                      "--out", str(tmp_path / "m.npz")],
+            "eval": ["eval", "--corpus", synthetic_corpus_path, "--model", model_path],
+            "scan": ["scan", "--repo", str(scan_repo), "--model", model_path],
+        }[command]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {
+            "error": "valueerror", "detail": "the external backend requires --vectors"
+        }
 
 
 # Runs the console entry point on a command that fails at once, then reports

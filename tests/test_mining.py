@@ -86,6 +86,47 @@ class TestUserGitConfig:
         assert len(plain) == 5
         assert all(len(commit.commit_id) == 40 and commit.diff_text for commit in plain)
 
+    # Each file's second version gets other hunks from git log -p under one
+    # of the settings below: two changes 8 lines apart (diff.interHunkContext),
+    # a moved function (diff.algorithm=patience) and a repeated block that
+    # can slide (diff.indentHeuristic=false).
+    HUNK_FILES = (
+        ("gap.txt", "".join(f"line {i}\n" for i in range(1, 31)),
+         "".join(f"line {i}{' changed' if i in (5, 14) else ''}\n" for i in range(1, 31))),
+        ("frob.c",
+         "// Frobs foo\nint frob(int foo)\n{\n    int i;\n    for(i = 0; i < 10; i++)\n"
+         "    {\n        printf(\"Answer: \");\n        printf(\"%d\", foo);\n    }\n}\n\n"
+         "int fact(int n)\n{\n    if(n > 1)\n    {\n        return fact(n-1) * n;\n"
+         "    }\n    return 1;\n}\n\nint main()\n{\n    frob(fact(10));\n}\n",
+         "int fib(int n)\n{\n    if(n > 2)\n    {\n        return fib(n-1) + fib(n-2);\n"
+         "    }\n    return 1;\n}\n\n// Frobs foo\nint frob(int foo)\n{\n    int i;\n"
+         "    for(i = 0; i < 10; i++)\n    {\n        printf(\"%d\", foo);\n    }\n}\n\n"
+         "int main()\n{\n    frob(fib(10));\n}\n"),
+        ("slide.txt", "1\n2\na\n\nb\n3\n4\n", "1\n2\na\n\nb\na\n\nb\n3\n4\n"),
+    )
+    HUNK_SETTINGS = ("interHunkContext = 5", "algorithm = patience", "indentHeuristic = false")
+
+    def test_hunk_settings_change_nothing(self, tmp_path, monkeypatch):
+        repo = init_repo(tmp_path / "repo")
+        for version in (1, 2):
+            for name, *texts in self.HUNK_FILES:
+                (repo / name).write_text(texts[version - 1])
+            commit_all(repo, f"version {version}", version)
+        monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        plain_log = run_git(str(repo), ["log", "-p"])
+        plain = tmp_path / "plain.jsonl"
+        write_commits(mine_repository(repo), str(plain))
+        hostile = tmp_path / "gitconfig"
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(hostile))
+        for setting in self.HUNK_SETTINGS:
+            hostile.write_text(f"[diff]\n\t{setting}\n")
+            assert run_git(str(repo), ["log", "-p"]) != plain_log, setting
+        hostile.write_text("[diff]\n" + "".join(f"\t{s}\n" for s in self.HUNK_SETTINGS))
+        mined = tmp_path / "hostile.jsonl"
+        write_commits(mine_repository(repo), str(mined))
+        assert mined.read_bytes() == plain.read_bytes()
+
 
 class TestLineBreaks:
     """Git ends lines with "\\n" only; "\\r" and form feeds are line content."""

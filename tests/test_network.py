@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gradient_check_instance
+from helpers import gradient_check_instance, to_dense
 from staletodo.model import (
     bce_loss,
     forward,
@@ -128,6 +128,24 @@ class TestMeanPool:
             ids[row, length:] = PAD_INDEX  # row lengths 0..50, some all PAD
         ids[0] = PAD_INDEX
         assert mean_pool(ids, table).tobytes() == masked_mean_pool(ids, table).tobytes()
+
+    def test_float32_table_pools_in_float32(self):
+        def masked_mean_pool_float32(ids, table):
+            mask = ids != PAD_INDEX
+            counts = np.maximum(mask.sum(axis=1), 1).astype(np.float32)
+            return (table[ids] * mask[:, :, None]).sum(axis=1) / counts[:, None]
+
+        rng = np.random.default_rng(9)
+        table = init_encoder(rng, vocab_of_size(300), 16).embedding
+        table[PAD_INDEX + 1 :] *= rng.normal(size=(299, 16)) * 100
+        table = table.astype(np.float32)
+        ids = rng.integers(0, 300, size=(64, 50))
+        for row, length in enumerate(rng.integers(0, 51, size=64)):
+            ids[row, length:] = PAD_INDEX
+        ids[0] = PAD_INDEX
+        pooled = mean_pool(ids, table)
+        assert pooled.dtype == np.float32
+        assert pooled.tobytes() == masked_mean_pool_float32(ids, table).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(pooling_batches())
@@ -281,20 +299,20 @@ class TestEmbeddingGradient:
     def test_pad_only_rows_zero(self):
         d_h = np.ones((1, 3))
         ids = np.full((1, 4), PAD_INDEX)
-        grad = embedding_gradient(d_h, ids, vocab_size=5, dim=3).to_dense()
+        grad = to_dense(embedding_gradient(d_h, ids, vocab_size=5, dim=3))
         assert np.array_equal(grad, np.zeros((5, 3)))
 
     def test_single_token_receives_full_gradient(self):
         d_h = np.array([[1.0, 2.0]])
         ids = np.array([[3, PAD_INDEX]])
-        grad = embedding_gradient(d_h, ids, vocab_size=4, dim=2).to_dense()
+        grad = to_dense(embedding_gradient(d_h, ids, vocab_size=4, dim=2))
         assert np.array_equal(grad[3], [1.0, 2.0])
         assert np.count_nonzero(grad) == 2
 
     def test_mean_denominator_and_duplicates(self):
         d_h = np.array([[6.0]])
         ids = np.array([[1, 1, 2]])
-        grad = embedding_gradient(d_h, ids, vocab_size=3, dim=1).to_dense()
+        grad = to_dense(embedding_gradient(d_h, ids, vocab_size=3, dim=1))
         assert np.allclose(grad[1], [4.0])  # two shares of 6/3
         assert np.allclose(grad[2], [2.0])
 
@@ -307,7 +325,7 @@ class TestEmbeddingGradient:
             ids = rng.integers(0, vocab_size, size=(batch, int(rng.integers(1, 12))))
             d_h = rng.normal(size=(batch, dim))
             grad = embedding_gradient(d_h, ids, vocab_size, dim)
-            assert np.array_equal(grad.to_dense(), dense_scatter(d_h, ids, vocab_size, dim))
+            assert np.array_equal(to_dense(grad), dense_scatter(d_h, ids, vocab_size, dim))
             assert np.array_equal(grad.rows, np.unique(ids[ids != PAD_INDEX]))
 
     @settings(max_examples=300, deadline=None)
@@ -316,7 +334,7 @@ class TestEmbeddingGradient:
         ids, _, d_h, dim, _ = batch
         vocab_size = int(ids.max()) + 1
         grad = embedding_gradient(d_h, ids, vocab_size, dim)
-        assert grad.to_dense().tobytes() == dense_scatter(d_h, ids, vocab_size, dim).tobytes()
+        assert to_dense(grad).tobytes() == dense_scatter(d_h, ids, vocab_size, dim).tobytes()
         assert np.array_equal(grad.rows, np.unique(ids[ids != PAD_INDEX]))
 
     @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import to_dense
 from staletodo.model import AdamState, RowGradient, adam_step, clip_gradients, global_norm
 from staletodo.model.optimizer import SPLIT_ENTRIES
 from staletodo.model.network import embedding_gradient
@@ -68,7 +69,7 @@ class TestRowGradients:
             grads = [rng.normal(size=(3, 2))] + [
                 random_row_gradient(rng) for _ in range(rng.integers(1, 4))
             ]
-            dense = [g.to_dense() if isinstance(g, RowGradient) else g for g in grads]
+            dense = [to_dense(g) if isinstance(g, RowGradient) else g for g in grads]
             assert math.isclose(global_norm(grads), global_norm(dense), rel_tol=1e-12)
 
     def test_clipped_row_gradient_matches_dense(self):
@@ -76,37 +77,47 @@ class TestRowGradients:
         for _ in range(50):
             grads = [rng.normal(size=3), random_row_gradient(rng, scale=5.0)]
             out = clip_gradients(grads, max_norm=2.0)
-            dense = clip_gradients([grads[0], grads[1].to_dense()], max_norm=2.0)
+            dense = clip_gradients([grads[0], to_dense(grads[1])], max_norm=2.0)
             assert isinstance(out[1], RowGradient)
-            assert np.allclose(out[1].to_dense(), dense[1], rtol=1e-12, atol=0.0)
+            assert np.allclose(to_dense(out[1]), dense[1], rtol=1e-12, atol=0.0)
             assert global_norm(out) <= 2.0 + 1e-9
 
     @pytest.mark.parametrize(
-        "vocab, dim, untouched, boundary, split",
+        "vocab, dim, untouched, boundary, split, dtype",
         [
-            (40, 6, 30, (), False),
-            (2600, 6, 2200, (1023, 1024, 2047, 2048), False),
-            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), True),
+            (40, 6, 30, (), False, np.float64),
+            (2600, 6, 2200, (1023, 1024, 2047, 2048), False, np.float64),
+            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), True, np.float64),
+            (40, 6, 30, (), False, np.float32),
+            (2600, 6, 2200, (1023, 1024, 2047, 2048), False, np.float32),
+            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), True, np.float32),
         ],
-        ids=["one-block", "three-blocks", "two-threads"],
+        ids=[
+            "one-block", "three-blocks", "two-threads",
+            "one-block-float32", "three-blocks-float32", "two-threads-float32",
+        ],
     )
     @pytest.mark.usefixtures("short_switch_interval")
-    def test_adam_matches_dense_adam_bit_for_bit(self, vocab, dim, untouched, boundary, split):
+    def test_adam_matches_dense_adam_bit_for_bit(
+        self, vocab, dim, untouched, boundary, split, dtype
+    ):
         # Row 1 is touched only in the first step and then only decays; rows
         # `untouched` and up are never touched; ids repeat within every batch.
         # The 2,600-row table spans two full update blocks and a partial one,
         # and every batch touches the rows on both sides of each block edge.
         # The 8,400 x 128 table holds SPLIT_ENTRIES entries or more, so the
-        # caller and the helper thread share its nine blocks.
+        # caller and the helper thread share its nine blocks. In float32 the
+        # reference runs every operation in float32, so scratch buffers or
+        # moments of another dtype would change bits.
         assert (vocab * dim >= SPLIT_ENTRIES) is split
         rng = np.random.default_rng(17)
-        table = rng.uniform(-0.05, 0.05, size=(vocab, dim))
-        weight = rng.normal(size=(dim, 3))
-        bias = rng.normal(size=3)
+        table = rng.uniform(-0.05, 0.05, size=(vocab, dim)).astype(dtype)
+        weight = rng.normal(size=(dim, 3)).astype(dtype)
+        bias = rng.normal(size=3).astype(dtype)
         sparse = [weight.copy(), bias.copy(), table.copy()]
         dense = [weight.copy(), bias.copy(), table.copy()]
         sparse_state = AdamState.for_params(sparse)
-        dense_moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in dense]
+        dense_moments = [(np.zeros(p.shape, dtype), np.zeros(p.shape, dtype)) for p in dense]
         row_one = []
         for step in range(30):
             ids = rng.integers(2, untouched, size=(4, 10))
@@ -117,17 +128,19 @@ class TestRowGradients:
             ids[2, : len(boundary)] = boundary
             used = ids[ids != PAD_INDEX]
             assert np.unique(used).size < used.size
-            grad = embedding_gradient(rng.normal(size=(4, dim)), ids, vocab, dim)
-            w_grad = rng.normal(size=weight.shape)
-            b_grad = rng.normal(size=bias.shape)
+            grad = embedding_gradient(rng.normal(size=(4, dim)).astype(dtype), ids, vocab, dim)
+            w_grad = rng.normal(size=weight.shape).astype(dtype)
+            b_grad = rng.normal(size=bias.shape).astype(dtype)
             adam_step(sparse, [w_grad, b_grad, grad], sparse_state, lr=0.01)
-            dense_adam(dense, [w_grad, b_grad, grad.to_dense()], dense_moments, step + 1, 0.01)
+            dense_adam(dense, [w_grad, b_grad, to_dense(grad)], dense_moments, step + 1, 0.01)
             assert np.array_equal(sparse[0], dense[0])
             assert np.array_equal(sparse[1], dense[1])
             assert np.array_equal(sparse[2], dense[2])
             row_one.append(sparse[2][1].copy())
         assert np.array_equal(sparse[2][untouched:], table[untouched:])
         assert not np.array_equal(row_one[-2], row_one[-1])
+        arrays = sparse + sparse_state.m + sparse_state.v + [grad.values]
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
     def test_adam_step_allocates_far_less_than_the_table(self):
         # Once every row has moments, a step over a few rows still updates

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_separable_corpus
-from staletodo.corpus import split_dataset
+from staletodo.corpus import read_corpus, split_dataset
 from staletodo.model import (
     ExternalVectorStore,
     MissingExternalVector,
@@ -21,6 +22,8 @@ from staletodo.model import (
 )
 from staletodo.model.storage import ModelFileError, VectorFileError
 from staletodo.model.training import parse_mask
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +216,35 @@ class TestModelFileChecks:
             np.savez(fh, meta=np.array(json.dumps([3])), **arrays)
         with pytest.raises(ModelFileError, match="meta is not an object"):
             load_model(str(path))
+
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int64, np.float16, object], ids=["int64", "float16", "object"]
+    )
+    def test_array_that_is_not_float32_or_float64_is_refused(self, trained, tmp_path, dtype):
+        def recast(meta, arrays):
+            arrays["mlp_w1"] = arrays["mlp_w1"].astype(dtype)
+
+        path = edited_model_file(trained[0], tmp_path, recast)
+        with pytest.raises(ModelFileError, match="mlp_w1"):
+            load_model(path)
+
+
+class TestFloat64ModelFile:
+    """A format-3 file written when training made float64 arrays.
+
+    float64_model.npz was written by `staletodo train --corpus
+    float64_model_corpus.jsonl --dim 8 --epochs 60 --validate-every 20
+    --min-freq 1 --seed 3`, and float64_model_scores.json holds the scores
+    predict_scores gave that model for the corpus's samples, in order.
+    """
+
+    def test_loads_as_float64_and_scores_as_written(self):
+        model = load_model(str(DATA / "float64_model.npz"))
+        assert {a.dtype for a in model.arrays().values()} == {np.dtype(np.float64)}
+        samples = read_corpus(str(DATA / "float64_model_corpus.jsonl"))
+        expected = json.loads((DATA / "float64_model_scores.json").read_text())
+        assert predict_scores(samples, model).tolist() == expected
 
 
 class TestTextHash:

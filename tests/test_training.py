@@ -7,18 +7,21 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_sample, make_separable_corpus, random_sample
+from helpers import make_sample, make_separable_corpus, planted_vectors, random_sample
 from staletodo.corpus import DatasetSplit, Label, split_dataset
 from staletodo.metrics import Status, confusion, metrics, status_of
 from staletodo.model import (
     ExternalVectorStore,
     ModelParams,
+    RowGradient,
     TrainConfig,
+    adam_step,
     predict,
     predict_scores,
     save_model,
     train,
 )
+from staletodo.model import training
 from staletodo.model.network import (
     COMPONENT_ORDER,
     Component,
@@ -45,6 +48,13 @@ def accuracy(samples, model, store=None):
         if (score >= 0.5) == (sample.label is Label.POSITIVE)
     )
     return hits / len(samples)
+
+
+def planted_store(samples, seed=0):
+    store = ExternalVectorStore()
+    for text, vector in planted_vectors(samples, seed).items():
+        store.add(text, vector)
+    return store
 
 
 def toy_split(n=20, seed=1):
@@ -124,6 +134,14 @@ class TestDeterminism:
         scores_a = predict_scores(list(split.test), model_a)
         scores_b = predict_scores(list(split.test), model_b)
         assert np.array_equal(scores_a, scores_b)
+
+    def test_same_seed_writes_byte_identical_model_files(self, tmp_path):
+        split = toy_split(20)
+        config = TrainConfig(max_epochs=30, **FAST_CONFIG)
+        paths = [tmp_path / "a.npz", tmp_path / "b.npz"]
+        for path in paths:
+            save_model(train(split, config)[0], str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_different_seed_changes_history(self):
         split = toy_split(20)
@@ -246,9 +264,13 @@ class TestMasking:
 
 
 def bit_equal(model_a, model_b):
-    """Same parameter names, each with an equal array."""
+    """Same parameter names, each with an array of the same dtype, shape and bytes."""
     a, b = model_a.arrays(), model_b.arrays()
-    return a.keys() == b.keys() and all(np.array_equal(a[name], b[name]) for name in a)
+    return a.keys() == b.keys() and all(
+        (a[name].dtype, a[name].shape, a[name].tobytes())
+        == (b[name].dtype, b[name].shape, b[name].tobytes())
+        for name in a
+    )
 
 
 class TestCheckpoint:
@@ -291,7 +313,37 @@ class TestCheckpoint:
         mlp = init_mlp(rng, config.dim * len(active), default_hidden_sizes(config.dim))
         assert list(model.encoders) == list(active)
         assert [e.vocab.tokens for e in model.encoders.values()] == [v.tokens for v in vocabs]
-        assert bit_equal(model, ModelParams(encoders=encoders, mlp=mlp, config=config))
+        drawn = ModelParams(encoders=encoders, mlp=mlp, config=config).arrays()
+        cast = {name: a.astype(np.float32) for name, a in drawn.items()}
+        assert bit_equal(model, ModelParams.from_arrays(cast, dict(zip(active, vocabs)), config))
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("backend", ["internal", "external"])
+    def test_train_creates_and_steps_in_float32(self, backend, monkeypatch, tmp_path):
+        # Every parameter, Adam moment and gradient that reaches Adam, the
+        # returned model and the file written from it.
+        seen = []
+
+        def spy(params, grads, state, **kwargs):
+            seen.extend(params + state.m + state.v)
+            seen.extend(g.values if isinstance(g, RowGradient) else g for g in grads)
+            adam_step(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        split = toy_split(20)
+        store = None
+        if backend == "external":
+            store = planted_store(split.train + split.val + split.test)
+        config = TrainConfig(max_epochs=3, backend=backend, **FAST_CONFIG)
+        model, history = train(split, config, store)
+        path = str(tmp_path / "model.npz")
+        save_model(model, path)
+        with np.load(path) as archive:
+            saved = [archive[name] for name in archive.files if name != "meta"]
+        assert history.final_batch == 3 and len(saved) == len(model.arrays())
+        arrays = seen + list(model.arrays().values()) + saved
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 class TestDivergence:
@@ -394,6 +446,22 @@ class TestPredict:
             assert prediction.status is status_of(score)
             assert abs(prediction.score - score) <= 1e-15
 
+    def test_float32_model_scores_match_across_batch_sizes(self):
+        # At dim 128 a float32 MLP gives one sample scores up to 3e-8 apart
+        # in a batch of 1 and of 64, as the batch size picks the BLAS kernel.
+        samples = make_separable_corpus(130, seed=4)
+        config = TrainConfig(dim=128, min_freq=1, seed=5)
+        vocabs = {
+            c: build_vocab([component_text(s, c) for s in samples], 1)
+            for c in config.active_components()
+        }
+        model = _init_model(np.random.default_rng(5), vocabs, config)
+        assert {a.dtype for a in model.arrays().values()} == {np.dtype(np.float32)}
+        scores = predict_scores(samples, model)
+        assert scores.dtype == np.float64
+        for sample, score in zip(samples, scores):
+            assert abs(predict_scores([sample], model)[0] - score) <= 1e-15
+
     def test_predict_pure_function(self):
         model, split = self._model()
         sample = split.test[0]
@@ -408,23 +476,12 @@ class TestPredict:
 
 
 class TestExternalBackend:
-    def _store_for(self, samples, seed=0):
-        # synthetic "transformer" outputs: class signal planted in one axis
-        rng = np.random.default_rng(seed)
-        store = ExternalVectorStore()
-        for sample in samples:
-            for text in (sample.code_change, sample.todo_comment, sample.commit_msg):
-                vec = rng.normal(scale=0.01, size=768)
-                vec[0] = 1.0 if sample.label is Label.POSITIVE else -1.0
-                store.add(text, vec)
-        return store
-
     def test_training_and_prediction_with_store(self):
         corpus = make_separable_corpus(24, seed=9)
         split = DatasetSplit(
             train=tuple(corpus[:16]), val=tuple(corpus[16:20]), test=tuple(corpus[20:]), seed=0
         )
-        store = self._store_for(corpus)
+        store = planted_store(corpus)
         config = TrainConfig(backend="external", max_epochs=30, validate_every=10, seed=3)
         model, history = train(split, config, store)
         assert not history.diverged
