@@ -56,14 +56,6 @@ class SchemaViolation(ValueError):
         super().__init__(f"record {line_no}: {reason}")
 
 
-class Insufficient(ValueError):
-    def __init__(self, label: "Label", available: int, requested: int):
-        self.label = label
-        super().__init__(
-            f"only {available} {label.value} samples available, {requested} requested"
-        )
-
-
 @dataclass(frozen=True)
 class TripleSample:
     code_change: str
@@ -309,36 +301,3 @@ def read_corpus(path: str) -> list[TripleSample]:
                 raise SchemaViolation(line_no, str(exc)) from exc
             samples.append(sample)
     return samples
-
-
-def sample_for_manual_check(
-    samples: Sequence[TripleSample], n_pos: int, n_neg: int, seed: int
-) -> list[TripleSample]:
-    """Seeded random pick of n_pos positives and n_neg negatives for review."""
-    positives = [s for s in samples if s.label is Label.POSITIVE]
-    negatives = [s for s in samples if s.label is Label.NEGATIVE]
-    if len(positives) < n_pos:
-        raise Insufficient(Label.POSITIVE, len(positives), n_pos)
-    if len(negatives) < n_neg:
-        raise Insufficient(Label.NEGATIVE, len(negatives), n_neg)
-    rng = random.Random(seed)
-    picked = rng.sample(positives, n_pos) + rng.sample(negatives, n_neg)
-    return picked
-
-
-def render_manual_check_report(samples: Sequence[TripleSample]) -> str:
-    """Human-readable report of sampled triples for label auditing."""
-    blocks = []
-    for i, s in enumerate(samples, start=1):
-        blocks.append(
-            "\n".join(
-                [
-                    f"--- sample {i} [{s.label.value}] {s.repo}@{s.commit_id} ---",
-                    f"todo_comment: {s.todo_comment}",
-                    f"commit_msg:   {s.commit_msg}",
-                    "code_change:",
-                    s.code_change,
-                ]
-            )
-        )
-    return "\n\n".join(blocks) + ("\n" if blocks else "")

@@ -25,6 +25,8 @@ LOSS_EPS = 1e-7
 DROPOUT_RATE = 0.2
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
 _SCORE_CEIL = np.nextafter(1.0, 0.0)
+# Columns that embedding_gradient scatters per bincount.
+_SCATTER_COLUMNS = 16
 
 
 class ShapeMismatch(ValueError):
@@ -219,20 +221,25 @@ def embedding_gradient(
     """Scatter mean-pooling gradients back onto the rows of the embedding
     table that the batch used.
 
-    The scatter runs over the flat (rows * dim) values at slot*dim + column,
-    adding each entry's contributions in token order from 0.0 in float64, as
-    a scatter into a dense zero table would add them, so the values are
-    bit-identical to it. They are then rounded once to d_h's dtype.
+    Each token's share of its text's gradient, d_h over the text's length,
+    is computed in float64. The scatter runs over blocks of _SCATTER_COLUMNS
+    columns: one bincount per block at slot*width + column, written straight
+    into the (rows, dim) result of d_h's dtype. Each entry adds its
+    contributions in token order from 0.0 in float64, as a scatter into a
+    dense zero table would add them, so the values are bit-identical to it,
+    rounded once. No (tokens, dim) temporary is made.
     """
     mask = ids != PAD_INDEX
     lengths = mask.sum(axis=1)
-    contrib = d_h / np.maximum(lengths, 1)[:, None]
+    scale = d_h.astype(np.float64) / np.maximum(lengths, 1)[:, None]
+    owner = np.nonzero(mask)[0]
     rows, slots = np.unique(ids[mask], return_inverse=True)
-    flat = (slots * dim)[:, None] + np.arange(dim)
-    values = np.bincount(
-        flat.reshape(-1),
-        weights=np.repeat(contrib, lengths, axis=0).reshape(-1),
-        minlength=rows.size * dim,
-    )
-    values = values.reshape(rows.size, dim).astype(d_h.dtype, copy=False)
+    values = np.empty((rows.size, dim), d_h.dtype)
+    for c0 in range(0, dim, _SCATTER_COLUMNS):
+        block = scale[:, c0 : c0 + _SCATTER_COLUMNS][owner]
+        width = block.shape[1]
+        if c0 == 0 or width < _SCATTER_COLUMNS:  # full blocks share one index
+            index = ((slots * width)[:, None] + np.arange(width)).reshape(-1)
+        sums = np.bincount(index, weights=block.reshape(-1), minlength=rows.size * width)
+        values[:, c0 : c0 + width] = sums.reshape(rows.size, width)
     return RowGradient(rows=rows, values=values, num_rows=vocab_size)

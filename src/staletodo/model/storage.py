@@ -6,9 +6,14 @@ and a JSON header holds only the format version, the config echo and each
 encoder's vocabulary (in component order). Arrays are float32, as train
 makes them, or float64, as it made them before; a model computes in the
 dtype it loads with. The file holds no optimizer state, and an
-external-backend model holds no vocabulary. A missing entry, a meta entry
-of the wrong type, an array of another dtype or an array nothing reads
-raises ModelFileError.
+external-backend model holds no vocabulary.
+
+The header, the "meta" entry, is a 0-d bytes array of compact UTF-8 JSON:
+one byte per ASCII character. Files written before hold it as a 0-d numpy
+string, four bytes per character, and load the same way. A header that is
+neither, is not UTF-8 or is not JSON, a missing entry, a meta entry of the
+wrong type, an array of another dtype or an array nothing reads raises
+ModelFileError.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -114,7 +119,31 @@ def save_model(model, path: str) -> None:
     }
     # A file object, not a path: np.savez would append ".npz" to a path.
     with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta)), **model.arrays())
+        np.savez(fh, meta=encode_meta(meta), **model.arrays())
+
+
+def encode_meta(meta: dict) -> np.ndarray:
+    """The header entry: meta as compact UTF-8 JSON in a 0-d bytes array."""
+    text = json.dumps(meta, separators=(",", ":"), ensure_ascii=False)
+    return np.array(text.encode("utf-8"))
+
+
+def decode_meta(entry: np.ndarray):
+    """The JSON value of a header entry, UTF-8 bytes or a numpy string."""
+    if entry.shape != ():
+        raise ModelFileError(f"model meta is not a scalar: shape {entry.shape}")
+    header = entry.item()
+    if isinstance(header, bytes):
+        try:
+            header = header.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"model meta is not UTF-8: {exc}") from None
+    elif not isinstance(header, str):
+        raise ModelFileError(f"model meta is {entry.dtype}, not text or bytes")
+    try:
+        return json.loads(header)
+    except json.JSONDecodeError as exc:
+        raise ModelFileError(f"model meta is not JSON: {exc}") from None
 
 
 def load_model(path: str):
@@ -125,7 +154,11 @@ def load_model(path: str):
     with np.load(path, allow_pickle=False) as archive:
         if "meta" not in archive:
             raise ModelFileError("not a model file: missing meta entry")
-        meta = json.loads(str(archive["meta"]))
+        try:
+            entry = archive["meta"]
+        except ValueError as exc:  # such as an object array, which needs pickle
+            raise ModelFileError(f"model meta: {exc}") from None
+        meta = decode_meta(entry)
         if not isinstance(meta, dict):
             raise ModelFileError("model meta is not an object")
         version = meta.get("format_version")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 from pathlib import Path
@@ -228,6 +229,12 @@ def planted_vectors(samples, seed=0):
             vector[0] = 1.0 if sample.label is Label.POSITIVE else -1.0
             vectors[text] = vector
     return vectors
+
+
+def read_meta(archive) -> dict:
+    """The JSON header of an open model file: UTF-8 bytes, or a numpy string
+    as files written before hold it."""
+    return json.loads(archive["meta"].item())
 
 
 def to_dense(grad: RowGradient) -> np.ndarray:

@@ -8,7 +8,6 @@ import pytest
 from helpers import MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, make_doc, make_sample
 from staletodo.comments import Language, TodoComment
 from staletodo.corpus import (
-    Insufficient,
     Label,
     SchemaViolation,
     TooFewSamples,
@@ -18,9 +17,7 @@ from staletodo.corpus import (
     extract_triple,
     label_triple,
     read_corpus,
-    render_manual_check_report,
     render_stats,
-    sample_for_manual_check,
     split_dataset,
     write_corpus,
 )
@@ -252,43 +249,6 @@ class TestCorpusRoundTrip:
         path = tmp_path / "lines.jsonl"
         write_corpus(samples, str(path))
         assert len(path.read_text(encoding="utf-8").splitlines()) == 5
-
-
-class TestManualCheckSampling:
-    def _corpus(self):
-        out = []
-        for i in range(300):
-            label = Label.POSITIVE if i % 3 == 0 else Label.NEGATIVE
-            out.append(make_sample(label=label, commit_id=f"c{i:06d}"))
-        return out
-
-    def test_hundred_per_class(self):
-        picked = sample_for_manual_check(self._corpus(), 100, 100, seed=4)
-        assert len(picked) == 200
-        assert sum(1 for s in picked if s.label is Label.POSITIVE) == 100
-        assert sum(1 for s in picked if s.label is Label.NEGATIVE) == 100
-
-    def test_zero_request(self):
-        assert sample_for_manual_check(self._corpus(), 0, 0, seed=4) == []
-
-    def test_deterministic(self):
-        a = sample_for_manual_check(self._corpus(), 5, 5, seed=12)
-        b = sample_for_manual_check(self._corpus(), 5, 5, seed=12)
-        assert a == b
-
-    def test_insufficient_class(self):
-        corpus = [make_sample(label=Label.NEGATIVE, commit_id=f"c{i}") for i in range(10)]
-        with pytest.raises(Insufficient):
-            sample_for_manual_check(corpus, 1, 1, seed=0)
-
-    def test_report_is_human_readable(self):
-        picked = sample_for_manual_check(self._corpus(), 2, 2, seed=1)
-        report = render_manual_check_report(picked)
-        assert report.count("--- sample") == 4
-        for sample in picked:
-            assert sample.todo_comment in report
-            assert sample.commit_id in report
-        assert render_manual_check_report([]) == ""
 
 
 class TestStats:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,13 +51,14 @@ def straight_line_score(h_parts, weights, biases):
 
 
 def dense_scatter(d_h, ids, vocab_size, dim):
-    """Mean-pooling gradient scattered into a dense zero table, token by token."""
+    """Mean-pooling gradient scattered into a dense float64 zero table, token
+    by token, then rounded to d_h's dtype."""
     grad = np.zeros((vocab_size, dim))
     mask = ids != PAD_INDEX
     counts = np.maximum(mask.sum(axis=1), 1)
     repeated = np.repeat(d_h / counts[:, None], mask.sum(axis=1), axis=0)
     np.add.at(grad, ids[mask], repeated)
-    return grad
+    return grad.astype(d_h.dtype)
 
 
 def pad_zero_table(rows, dim):
@@ -336,6 +338,37 @@ class TestEmbeddingGradient:
         grad = embedding_gradient(d_h, ids, vocab_size, dim)
         assert to_dense(grad).tobytes() == dense_scatter(d_h, ids, vocab_size, dim).tobytes()
         assert np.array_equal(grad.rows, np.unique(ids[ids != PAD_INDEX]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 15, 16, 17, 33, 128])
+    def test_column_blocks_match_dense_scatter_bit_for_bit(self, dim, dtype):
+        # Dims below, at and across the 16-column blocks of the scatter.
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            vocab_size = int(rng.integers(2, 40))
+            batch = int(rng.integers(1, 9))
+            ids = rng.integers(0, vocab_size, size=(batch, int(rng.integers(1, 30))))
+            ids[rng.random(ids.shape) < 0.2] = PAD_INDEX
+            d_h = rng.normal(size=(batch, dim)).astype(dtype)
+            d_h[rng.random(d_h.shape) < 0.1] = rng.choice([0.0, -0.0])
+            grad = embedding_gradient(d_h, ids, vocab_size, dim)
+            assert grad.values.dtype == dtype
+            assert grad.values.shape == (grad.rows.size, dim)
+            assert to_dense(grad).tobytes() == dense_scatter(d_h, ids, vocab_size, dim).tobytes()
+
+    def test_scatter_holds_no_token_by_dim_temporary(self):
+        # 12,800 tokens at dim 128: a (tokens, dim) float64 array alone would
+        # be 2.7 times the returned gradient.
+        rng = np.random.default_rng(22)
+        ids = rng.integers(0, 20_000, size=(64, 200))
+        d_h = rng.normal(size=(64, 128)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            grad = embedding_gradient(d_h, ids, 20_000, 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (grad.rows.nbytes + grad.values.nbytes)
 
     @settings(max_examples=300, deadline=None)
     @given(pooling_batches())

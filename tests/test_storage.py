@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_separable_corpus
+from helpers import make_separable_corpus, read_meta
 from staletodo.corpus import read_corpus, split_dataset
 from staletodo.model import (
     ExternalVectorStore,
@@ -20,7 +20,7 @@ from staletodo.model import (
     train,
     write_external_vectors,
 )
-from staletodo.model.storage import ModelFileError, VectorFileError
+from staletodo.model.storage import ModelFileError, VectorFileError, encode_meta
 from staletodo.model.training import parse_mask
 
 DATA = Path(__file__).parent / "data"
@@ -70,17 +70,69 @@ class TestModelFile:
             load_model(str(path))
 
 
-def edited_model_file(model, tmp_path, edit):
-    """Save model, let edit(meta, arrays) change the file's entries, write them back."""
+def edited_model_file(model, tmp_path, edit, encode=encode_meta):
+    """Save model, let edit(meta, arrays) change the file's entries, write them
+    back with the meta entry encode(meta)."""
     path = tmp_path / "model.npz"
     save_model(model, str(path))
     with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    meta = json.loads(str(arrays.pop("meta")))
+        meta = read_meta(archive)
+        arrays = {name: archive[name] for name in archive.files if name != "meta"}
     edit(meta, arrays)
     with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        np.savez(fh, meta=encode(meta), **arrays)
     return str(path)
+
+
+def former_meta(meta):
+    """The meta entry as files written before held it: a 0-d numpy string,
+    four bytes per character."""
+    return np.array(json.dumps(meta))
+
+
+class TestModelFileHeader:
+    def test_header_is_one_byte_per_character_of_compact_json(self, trained, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(trained[0], str(path))
+        with np.load(path) as archive:
+            header = archive["meta"]
+            meta = read_meta(archive)
+        json_bytes = json.dumps(meta, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        assert header.shape == ()
+        assert header.dtype.kind == "S"
+        assert header.nbytes == len(json_bytes)
+        assert header.item() == json_bytes
+
+    def test_former_string_header_loads_and_scores_the_same(self, trained, tmp_path):
+        model, split = trained
+        path = edited_model_file(model, tmp_path, lambda meta, arrays: None, former_meta)
+        with np.load(path) as archive:
+            assert archive["meta"].dtype.kind == "U"
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        for name, array in loaded.arrays().items():
+            assert array.tobytes() == model.arrays()[name].tobytes(), name
+        test = list(split.test)
+        assert np.array_equal(predict_scores(test, loaded), predict_scores(test, model))
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            (np.frombuffer(b'{"format_version":3}', dtype=np.uint8), "not a scalar"),
+            (np.array(3), "not text or bytes"),
+            (np.array(b'{"format_version":3,"x":"\xff"}'), "not UTF-8"),
+            (np.array(b'{"format_version":3'), "not JSON"),
+            (np.array("format_version=3"), "not JSON"),
+            (np.array({"format_version": 3}, dtype=object), "pickle"),
+        ],
+        ids=["1-d-uint8", "int-scalar", "not-utf8", "bytes-not-json", "string-not-json",
+             "object"],
+    )
+    def test_malformed_header_is_a_model_file_error(self, trained, tmp_path, header, named):
+        path = edited_model_file(trained[0], tmp_path, lambda meta, arrays: None,
+                                 lambda meta: header)
+        with pytest.raises(ModelFileError, match=named):
+            load_model(path)
 
 
 class TestModelFileChecks:
@@ -213,7 +265,7 @@ class TestModelFileChecks:
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files if name != "meta"}
         with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps([3])), **arrays)
+            np.savez(fh, meta=encode_meta([3]), **arrays)
         with pytest.raises(ModelFileError, match="meta is not an object"):
             load_model(str(path))
 

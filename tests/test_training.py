@@ -1,13 +1,18 @@
 """Training loop behavior: learning, determinism, masking, divergence."""
 
 import dataclasses
-import json
 import random
 
 import numpy as np
 import pytest
 
-from helpers import make_sample, make_separable_corpus, planted_vectors, random_sample
+from helpers import (
+    make_sample,
+    make_separable_corpus,
+    planted_vectors,
+    random_sample,
+    read_meta,
+)
 from staletodo.corpus import DatasetSplit, Label, split_dataset
 from staletodo.metrics import Status, confusion, metrics, status_of
 from staletodo.model import (
@@ -189,7 +194,7 @@ class TestEncoderVocabularies:
         path = tmp_path / "model.npz"
         save_model(model, str(path))
         with np.load(path) as archive:
-            meta = json.loads(str(archive["meta"]))
+            meta = read_meta(archive)
             assert "emb_cc" not in archive.files
         assert list(meta["encoders"]) == ["td", "msg"]
         assert "vocab" not in meta
