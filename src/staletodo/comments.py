@@ -1,10 +1,12 @@
 """Comment and TODO extraction from normalized diffs.
 
-A small string-literal-aware lexer finds comments line by line: ``#`` for
-Python, ``//`` and single-line ``/* ... */`` for Java. Delimiters inside
-string literals do not open comments. Block comments that span lines are
-handled per line only; diffs fragment comments, so a TODO is detected on
-its own line or not at all.
+One regular expression per language finds comments line by line: ``#``
+for Python, ``//`` and single-line ``/* ... */`` for Java. It matches
+string literals first, so delimiters inside them do not open comments; a
+string left open runs to the end of the line. Block comments that span
+lines are handled per line only; diffs fragment comments, so a TODO is
+detected on its own line or not at all. Python's ``tokenize`` and javac's
+scanner are the tests' oracles for the two patterns.
 
 Only lines that hold the TODO token are lexed. A comment's text is a
 substring of its line bounded by non-alphanumerics (a delimiter, blank or
@@ -72,67 +74,27 @@ class TodoComment:
     end: int
 
 
+# One pattern per language, matched with finditer: a match is a string
+# literal (group q), a comment (any other group) or, in Java, a "/*" left
+# open, which swallows the rest of the line. Strings come first, and one
+# runs to its closing quote or to the end of the line. \Z, not $, because $
+# also matches before a final "\n".
+_LEXERS = {
+    Language.PYTHON: re.compile(
+        r"""(?P<q>"{3}|'{3}|["'])(?:\\.?|(?!(?P=q))[^\\])*(?:(?P=q)|\Z)|#(?P<c>.*)""", re.S
+    ),
+    Language.JAVA: re.compile(
+        r"""(?P<q>["'])(?:\\.?|(?!(?P=q))[^\\])*(?:(?P=q)|\Z)|//(?P<l>.*)|/\*(?P<b>.*?)\*/|/\*.*""",
+        re.S,
+    ),
+}
+
+
 def iter_line_comments(text: str, language: Language) -> Iterator[CommentSpan]:
     """Yield the comments on a single source line, skipping string literals."""
-    if language is Language.PYTHON:
-        yield from _python_comments(text)
-    else:
-        yield from _java_comments(text)
-
-
-def _python_comments(text: str) -> Iterator[CommentSpan]:
-    quote: Optional[str] = None  # the delimiter that closes the open string
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if quote is not None:
-            if ch == "\\":
-                i += 2
-                continue
-            if text.startswith(quote, i):
-                i += len(quote)
-                quote = None
-                continue
-        elif ch in ("'", '"'):
-            quote = ch * 3 if text.startswith(ch * 3, i) else ch
-            i += len(quote)
-            continue
-        elif ch == "#":
-            yield CommentSpan(i, n, text[i + 1 :].strip())
-            return
-        i += 1
-
-
-def _java_comments(text: str) -> Iterator[CommentSpan]:
-    quote: Optional[str] = None
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if quote is not None:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            quote = ch
-            i += 1
-            continue
-        if text.startswith("//", i):
-            yield CommentSpan(i, n, text[i + 2 :].strip())
-            return
-        if text.startswith("/*", i):
-            close = text.find("*/", i + 2)
-            if close == -1:
-                return  # unterminated on this line: not a single-line comment
-            yield CommentSpan(i, close + 2, text[i + 2 : close].strip())
-            i = close + 2
-            continue
-        i += 1
+    for m in _LEXERS[language].finditer(text):
+        if m.lastgroup not in (None, "q"):
+            yield CommentSpan(m.start(), m.end(), m[m.lastgroup].strip())
 
 
 def extract_comments(

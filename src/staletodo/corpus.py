@@ -38,6 +38,7 @@ from .diffs import (
 log = logging.getLogger(__name__)
 
 MIN_SPLIT_SIZE = 10
+MAX_DIFF_BYTES = 1_048_576  # oversize commits carry no usable signal
 
 
 class Label(Enum):
@@ -145,17 +146,18 @@ def extract_triple(
     diff does not mention TODO, or else the reason the commit gave no
     triple: the name of the BuildCounts field that counts it, or
     "other_kind" when the single TODO sits on a line of a kind outside kinds.
+    A diff over MAX_DIFF_BYTES is dropped before it is parsed.
     """
     if "todo" not in commit.diff_text.lower():
         return None
+    if len(commit.diff_text.encode("utf-8", errors="surrogateescape")) > MAX_DIFF_BYTES:
+        return "oversize"
     try:
         doc = parse_unified_diff(commit.diff_text)
     except MalformedDiff as exc:
         log.warning("skipping commit %s: %s", commit.commit_id, exc)
         return "parse_failures"
     norm = normalize_diff(doc)
-    if norm is None:
-        return "oversize"
     todo = single_todo_filter(extract_comments_by_file(norm, languages))
     if todo is None:
         return "no_single_todo"

@@ -2,8 +2,7 @@
 
 Turns the textual diff of a commit into a line-tagged document and applies
 the text normalization used everywhere downstream: lowercasing, commit-id
-and issue-id placeholders, first-sentence truncation of commit messages,
-and the 1MB oversize filter.
+and issue-id placeholders, and first-sentence truncation of commit messages.
 
 The parser targets diffs as emitted by ``git log -p`` / ``git show``. It
 keeps only hunk body lines; file headers, hunk headers, mode/index lines
@@ -16,8 +15,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
-
-MAX_DIFF_BYTES = 1_048_576  # oversize commits carry no usable signal
 
 COMMIT_ID_PLACEHOLDER = "<commit_id>"
 ISSUE_ID_PLACEHOLDER = "<issue_id>"
@@ -90,10 +87,9 @@ class DiffLine(NamedTuple):
 
 @dataclass(frozen=True)
 class DiffDocument:
-    """Ordered content lines of a diff plus file paths and original size."""
+    """Ordered content lines of a diff plus file paths."""
 
     lines: tuple[DiffLine, ...]
-    byte_size: int
     files: tuple[tuple[Optional[str], Optional[str]], ...]
 
 
@@ -108,7 +104,6 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
 
     Raises MalformedDiff when a hunk body line carries no valid marker.
     """
-    byte_size = len(diff_text.encode("utf-8", errors="surrogateescape"))
     lines: list[DiffLine] = []
     files: list[tuple[Optional[str], Optional[str]]] = []
 
@@ -161,7 +156,7 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
         # index/mode/similarity/binary lines and any leading preamble
         continue
 
-    return DiffDocument(lines=tuple(lines), byte_size=byte_size, files=tuple(files))
+    return DiffDocument(lines=tuple(lines), files=tuple(files))
 
 
 def _header_path(token: str, prefix: str) -> Optional[str]:
@@ -182,16 +177,13 @@ def _unquote_c(text: str) -> str:
     return raw.decode("utf-8", errors="replace")
 
 
-def normalize_diff(doc: DiffDocument) -> Optional[DiffDocument]:
-    """Lowercase line text and placeholder commit ids; filter oversize diffs.
+def normalize_diff(doc: DiffDocument) -> DiffDocument:
+    """Lowercase line text and placeholder commit ids.
 
-    Returns None (rejected) when the original diff exceeded 1MB; that is a
-    data-filter signal, not a failure. Lowercasing happens before
-    substitution, so uppercase hashes are caught too; the operation is
-    idempotent because the placeholders contain no hex run.
+    Lowercasing happens before substitution, so uppercase hashes are caught
+    too; the operation is idempotent because the placeholders contain no
+    hex run.
     """
-    if doc.byte_size > MAX_DIFF_BYTES:
-        return None
     # One pass over all lines is the same as one per line: no line holds
     # "\n", str.lower never makes or removes one, and a hex run cannot
     # cross one.
@@ -200,7 +192,7 @@ def normalize_diff(doc: DiffDocument) -> Optional[DiffDocument]:
         DiffLine(line.kind, text, line.file_index, line.hunk_index)
         for line, text in zip(doc.lines, texts)
     )
-    return DiffDocument(lines=lines, byte_size=doc.byte_size, files=doc.files)
+    return DiffDocument(lines=lines, files=doc.files)
 
 
 def normalize_text(text: str) -> str:

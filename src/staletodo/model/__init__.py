@@ -1,74 +1,20 @@
-"""Trainable three-encoder classifier with an MLP fusion head."""
+"""Trainable three-encoder classifier with an MLP fusion head.
 
-from .network import (
-    Component,
-    EncoderParams,
-    Gradients,
-    MlpParams,
-    ShapeMismatch,
-    bce_loss,
-    forward,
-    init_encoder,
-    init_mlp,
-    mean_pool,
-    mlp_backward,
-)
-from .optimizer import AdamState, RowGradient, adam_step, clip_gradients, global_norm
-from .storage import (
-    ExternalVectorStore,
-    MissingExternalVector,
-    load_model,
-    save_model,
-    text_hash,
-    write_external_vectors,
-)
-from .training import (
-    ModelParams,
-    Prediction,
-    TrainConfig,
-    TrainHistory,
-    component_text,
-    parse_mask,
-    predict,
-    predict_scores,
-    train,
-)
-from .vocab import EmptyCorpus, Vocab, build_vocab, tokenize_for_model
+The package exports what the CLI and README's "Library" section use; the
+layers live in network, optimizer, storage, training and vocab.
+"""
+
+from .storage import ExternalVectorStore, MissingExternalVector, load_model, save_model
+from .training import TrainConfig, parse_mask, predict, predict_scores, train
 
 __all__ = [
-    "AdamState",
-    "Component",
-    "EmptyCorpus",
-    "EncoderParams",
     "ExternalVectorStore",
-    "Gradients",
     "MissingExternalVector",
-    "MlpParams",
-    "ModelParams",
-    "Prediction",
-    "RowGradient",
-    "ShapeMismatch",
     "TrainConfig",
-    "TrainHistory",
-    "Vocab",
-    "adam_step",
-    "bce_loss",
-    "build_vocab",
-    "clip_gradients",
-    "component_text",
-    "forward",
-    "global_norm",
-    "parse_mask",
-    "init_encoder",
-    "init_mlp",
     "load_model",
-    "mean_pool",
-    "mlp_backward",
+    "parse_mask",
     "predict",
     "predict_scores",
     "save_model",
-    "text_hash",
-    "tokenize_for_model",
     "train",
-    "write_external_vectors",
 ]

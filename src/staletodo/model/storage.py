@@ -178,8 +178,13 @@ def load_model(path: str):
             encoder_tokens = meta["encoders"]
         except KeyError as exc:
             raise ModelFileError(f"model meta lacks {exc}") from None
-        cfg["component_mask"] = frozenset(Component(v) for v in cfg["component_mask"])
-        config = TrainConfig(**cfg)
+        if not isinstance(cfg["component_mask"], list):
+            raise ModelFileError("model config 'component_mask' is not a list")
+        try:
+            cfg["component_mask"] = frozenset(Component(v) for v in cfg["component_mask"])
+            config = TrainConfig(**cfg)
+        except ValueError as exc:  # an unknown component or backend, or an empty mask
+            raise ModelFileError(f"model config: {exc}") from None
         vocabs = {}
         for name, tokens in encoder_tokens.items():
             try:

@@ -11,8 +11,14 @@ import numpy as np
 
 from staletodo.corpus import Label, TripleSample
 from staletodo.diffs import DiffDocument, DiffLine, LineKind, RawCommit
-from staletodo.model import bce_loss, forward, init_mlp, mean_pool, mlp_backward
-from staletodo.model.network import embedding_gradient
+from staletodo.model.network import (
+    bce_loss,
+    embedding_gradient,
+    forward,
+    init_mlp,
+    mean_pool,
+    mlp_backward,
+)
 from staletodo.model.optimizer import RowGradient
 from staletodo.model.vocab import PAD_INDEX
 
@@ -23,10 +29,10 @@ def make_line(kind_char, text, file_index=0, hunk_index=0):
     return DiffLine(KIND_BY_CHAR[kind_char], text, file_index, hunk_index)
 
 
-def make_doc(specs, byte_size=100, files=(("a.py", "a.py"),)):
+def make_doc(specs, files=(("a.py", "a.py"),)):
     """One-file one-hunk document from [(marker_char, text), ...]."""
     lines = tuple(make_line(ch, text) for ch, text in specs)
-    return DiffDocument(lines=lines, byte_size=byte_size, files=tuple(files))
+    return DiffDocument(lines=lines, files=tuple(files))
 
 
 def unified_diff(files):

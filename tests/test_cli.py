@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import staletodo.cli as cli
-from helpers import make_separable_corpus, planted_vectors, random_sample
+from helpers import make_separable_corpus, planted_vectors, random_sample, read_meta
 from staletodo.__main__ import BLAS_THREAD_VARIABLES
 from staletodo.baselines import TfidfSpace, added_lines_text, background_documents, irsc
 from staletodo.cli import main
@@ -20,16 +20,11 @@ from staletodo.corpus import Label, read_corpus, split_dataset, write_corpus
 from staletodo.diffs import LineKind
 from staletodo.metrics import confusion, evaluate, metrics, report_record, status_of
 from staletodo.mining import mine_repository
-from staletodo.model import (
-    ExternalVectorStore,
-    TrainConfig,
-    build_vocab,
-    component_text,
-    load_model,
-    predict_scores,
-    write_external_vectors,
-)
+from staletodo.model import ExternalVectorStore, TrainConfig, load_model, predict_scores
 from staletodo.model.network import Component
+from staletodo.model.storage import encode_meta, write_external_vectors
+from staletodo.model.training import component_text
+from staletodo.model.vocab import build_vocab
 from staletodo.scan import candidate_triples, scan_repository, write_findings
 
 
@@ -169,6 +164,21 @@ class TestTrainEval:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "modelfileerror"
         assert "mlp_b1" in record["detail"]
+
+    def test_malformed_model_config_is_a_model_file_error_record(
+        self, synthetic_corpus_path, model_path, tmp_path, capsys
+    ):
+        with np.load(model_path) as archive:
+            meta = read_meta(archive)
+            arrays = {name: archive[name] for name in archive.files if name != "meta"}
+        meta["config"]["component_mask"] = 5
+        path = str(tmp_path / "model.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=encode_meta(meta), **arrays)
+        assert main(["eval", "--corpus", synthetic_corpus_path, "--model", path]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "modelfileerror"
+        assert "component_mask" in record["detail"]
 
     def test_eval_without_targets_errors(self, synthetic_corpus_path, capsys):
         code = main(["eval", "--corpus", synthetic_corpus_path])

@@ -2,9 +2,12 @@
 
 import io
 import random
+import shutil
+import subprocess
 import tokenize
-from pathlib import PurePosixPath
+from pathlib import Path, PurePosixPath
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +78,10 @@ class TestPythonLexer:
 
     def test_unterminated_string_swallows_hash(self):
         assert comments_of('s = "open # not comment', Language.PYTHON) == []
+
+    def test_string_open_at_a_final_backslash_swallows_hash(self):
+        assert comments_of('s = "open # not comment \\', Language.PYTHON) == []
+        assert comments_of("s = '''open # not comment \\", Language.PYTHON) == []
 
     def test_lone_quote_inside_triple_quotes(self):
         assert comments_of('s = """a"b"""  # c', Language.PYTHON) == ["c"]
@@ -162,11 +169,128 @@ class TestJavaLexer:
     def test_unterminated_block_comment_ignored(self):
         assert comments_of("int a; /* todo open", Language.JAVA) == []
 
+    def test_unterminated_block_comment_swallows_the_line(self):
+        assert comments_of("a(); /* open // todo: not a comment", Language.JAVA) == []
+
+    def test_string_open_at_a_final_backslash_swallows_slashes(self):
+        assert comments_of('s = "open // not comment \\', Language.JAVA) == []
+
     def test_line_comment_eats_rest(self):
         assert comments_of("a(); // one /* two */", Language.JAVA) == ["one /* two */"]
 
     def test_char_literal(self):
         assert comments_of("char c = '/'; // after", Language.JAVA) == ["after"]
+
+
+JAVAC_EXPORTS = [
+    f"--add-exports=jdk.compiler/com.sun.tools.javac.{package}=ALL-UNNAMED"
+    for package in ("parser", "util")
+]
+JAVA_BLANKS = " \t\x0c"
+
+
+@pytest.fixture(scope="session")
+def javac_tokens(tmp_path_factory):
+    """A function from a Java line to the (pos, endPos) of each token javac's
+    scanner finds in it, end of input included, or None when javac rejects
+    the line. One JVM serves the whole session."""
+    if shutil.which("javac") is None or shutil.which("java") is None:
+        pytest.skip("javac is not installed")
+    classes = tmp_path_factory.mktemp("javac")
+    source = Path(__file__).parent / "data" / "LineTokens.java"
+    subprocess.run(["javac", *JAVAC_EXPORTS, "-d", str(classes), str(source)], check=True)
+    process = subprocess.Popen(
+        ["java", *JAVAC_EXPORTS, "-cp", str(classes), "LineTokens"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,  # the scanner's diagnostics for rejected lines
+        encoding="utf-8",
+    )
+
+    def tokens(line):
+        process.stdin.write(line + "\n")
+        process.stdin.flush()
+        reply = process.stdout.readline()
+        if not reply:  # every reply holds at least the end-of-input token
+            raise RuntimeError(f"LineTokens exited with {process.wait()}")
+        if reply.strip() == "!":
+            return None
+        positions = list(map(int, reply.split()))
+        return list(zip(positions[::2], positions[1::2]))
+
+    with process:
+        yield tokens
+        process.stdin.close()
+        process.wait(timeout=60)
+
+
+def _trimmed(line, start, end):
+    """[start, end) of non-blank text without the Java blanks at either end."""
+    text = line[start:end]
+    lead = len(text) - len(text.lstrip(JAVA_BLANKS))
+    return start + lead, start + len(text.rstrip(JAVA_BLANKS))
+
+
+def javac_comment_gaps(line, tokens):
+    """The comments javac sees: the non-blank text between one token's end
+    and the next token's start, trimmed of blanks."""
+    gaps = []
+    end = 0
+    for pos, next_end in tokens:
+        if line[end:pos].strip(JAVA_BLANKS):
+            gaps.append(_trimmed(line, end, pos))
+        end = next_end
+    return gaps
+
+
+def lexer_comment_gaps(line):
+    """The same gaps from the lexer: comments separated only by blanks share
+    a gap."""
+    gaps = []
+    for span in iter_line_comments(line, Language.JAVA):
+        if gaps and not line[gaps[-1][1] : span.start].strip(JAVA_BLANKS):
+            gaps[-1] = (gaps[-1][0], span.end)
+        else:
+            gaps.append((span.start, span.end))
+    return [_trimmed(line, start, end) for start, end in gaps]
+
+
+# No "u" anywhere, so no backslash can open a \uXXXX escape, which javac
+# reads before it lexes: a known gap of the line lexer.
+_JAVA_TEXT = "ab /*'\"\\#é\t\x0c"
+_JAVA_STRING_PIECES = st.sampled_from(
+    ["a", " ", "/", "*", "//", "/*", "*/", "'", "#", "é", '\\"', "\\\\", "\\'", "\\n"]
+)
+_JAVA_CODE = st.one_of(
+    st.from_regex(r"[abxyzé_$][abxyzé0-9_$]{0,3}", fullmatch=True),
+    st.sampled_from(
+        [" ", "\t", "\x0c", "=", "+", "-", "*", "/", ";", "(", ")", ".", "<", "#", "\\"]
+    ),
+    st.lists(_JAVA_STRING_PIECES, max_size=6).map(lambda pieces: '"' + "".join(pieces) + '"'),
+    st.sampled_from(["'a'", "'/'", "'*'", "'\"'", "'\\''", "'\\\\'", "'#'", "'", '"']),
+    st.text(alphabet=_JAVA_TEXT, max_size=8)
+    .filter(lambda body: "*/" not in body and not body.endswith("*"))
+    .map(lambda body: "/*" + body + "*/"),
+)
+_JAVA_LINE_COMMENTS = st.text(alphabet=_JAVA_TEXT, max_size=8).map(lambda body: "//" + body)
+
+
+class TestJavaLexerAgainstJavac:
+    """javac's scanner is the oracle, on single lines it accepts: a line
+    holding an open string, char literal or block comment, or a character
+    Java does not know, is rejected and skipped. Text blocks (\"\"\") are
+    left out, since they span lines."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_JAVA_CODE, max_size=8), st.one_of(st.none(), _JAVA_LINE_COMMENTS))
+    @example(["x", " ", "/* a */", " ", "/* b */", "'/'"], "// c /* d */")
+    @example(['"http://x"', ";", " "], "//")
+    def test_same_comments_as_javac(self, javac_tokens, code, comment):
+        line = "".join(code) + (comment or "")
+        assume('"""' not in line)
+        tokens = javac_tokens(line)
+        assume(tokens is not None)
+        assert lexer_comment_gaps(line) == javac_comment_gaps(line, tokens)
 
 
 class TestExtractComments:
@@ -275,7 +399,7 @@ class TestAssociate:
             make_line("+", "changed()", hunk_index=1),
         )
         doc = make_doc([])
-        doc = doc.__class__(lines=lines, byte_size=10, files=(("a.py", "a.py"),))
+        doc = doc.__class__(lines=lines, files=(("a.py", "a.py"),))
         assert associate(todo_at(doc, 0), doc) is False
 
     def test_matches_bruteforce_pairwise_oracle(self):
@@ -458,7 +582,7 @@ class TestCarveAgainstRelexing:
         """Where the first comment on the line with the TODO's text is the
         TODO itself, the finder's span carves what lexing again carves."""
         lines = tuple(DiffLine(kind, text, file_index, 0) for kind, file_index, text in specs)
-        doc = DiffDocument(lines=lines, byte_size=100, files=_FILES)
+        doc = DiffDocument(lines=lines, files=_FILES)
         for todo in extract_comments_by_file(doc, tuple(Language)):
             first = next(
                 s for s in iter_line_comments(todo.line.text, todo.language) if s.text == todo.text
@@ -491,7 +615,7 @@ class TestTodoFinder:
         lines = tuple(
             DiffLine(kind, text, file_index, 0) for kind, file_index, text in specs
         )
-        doc = DiffDocument(lines=lines, byte_size=100, files=_FILES)
+        doc = DiffDocument(lines=lines, files=_FILES)
         assert extract_comments_by_file(doc, languages) == every_line_todos(doc, languages)
 
     @settings(max_examples=300, deadline=None)
@@ -517,7 +641,6 @@ class TestTodoFinder:
     def test_files_outside_languages_are_not_lexed(self):
         doc = DiffDocument(
             lines=(make_line(" ", "// todo: java", file_index=1), make_line(" ", "# todo: py")),
-            byte_size=100,
             files=(("a.py", "a.py"), ("B.java", "B.java")),
         )
         assert [t.language for t in extract_comments_by_file(doc, (Language.JAVA,))] == [

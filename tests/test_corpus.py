@@ -7,7 +7,9 @@ import pytest
 
 from helpers import MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, make_doc, make_sample
 from staletodo.comments import Language, TodoComment
+from staletodo import corpus
 from staletodo.corpus import (
+    MAX_DIFF_BYTES,
     Label,
     SchemaViolation,
     TooFewSamples,
@@ -285,6 +287,35 @@ class TestStats:
         for row in ("# TODO Commits", "# Positive samples", "# Negative samples",
                     "# Train Set", "# Val&Test Set"):
             assert row in text
+
+
+def commit_of_size(byte_count, diff_lines=(" # TODO: nearby", "+added()")):
+    """A commit whose diff is padded after its hunk, with "é" (two UTF-8
+    bytes) and at most one "x", to exactly byte_count UTF-8 bytes."""
+    commit = commit_with_diff(list(diff_lines))
+    pairs, odd = divmod(byte_count - len(commit.diff_text.encode("utf-8")), 2)
+    return RawCommit(commit.commit_id, commit.message, commit.diff_text + "é" * pairs + "x" * odd)
+
+
+class TestOversizeDiffs:
+    def test_limit_is_inclusive_and_counts_utf8_bytes(self):
+        at_limit = commit_of_size(MAX_DIFF_BYTES)
+        over = commit_of_size(MAX_DIFF_BYTES + 1)
+        assert len(over.diff_text) < MAX_DIFF_BYTES  # over by bytes, not characters
+        assert extract_triple(at_limit, (Language.PYTHON,))[0].label is Label.NEGATIVE
+        assert extract_triple(over, (Language.PYTHON,)) == "oversize"
+
+    def test_counted_oversize_without_being_parsed(self, monkeypatch):
+        def refuse(diff_text):
+            raise AssertionError("an oversize diff was parsed")
+
+        monkeypatch.setattr(corpus, "parse_unified_diff", refuse)
+        malformed = commit_of_size(2 * MAX_DIFF_BYTES, diff_lines=("?# TODO: not a marker",))
+        samples, counts = build_triples(
+            [commit_of_size(MAX_DIFF_BYTES + 1), malformed], Language.PYTHON
+        )
+        assert samples == []
+        assert (counts.todo_commits, counts.oversize, counts.parse_failures) == (2, 2, 0)
 
 
 class TestBuildTriples:

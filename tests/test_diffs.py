@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import make_doc, unified_diff
 from staletodo.diffs import (
-    MAX_DIFF_BYTES,
     DiffDocument,
     DiffLine,
     LineKind,
@@ -75,7 +74,6 @@ class TestParse:
         doc = parse_unified_diff("")
         assert doc.lines == ()
         assert doc.files == ()
-        assert doc.byte_size == 0
 
     def test_minimal_hunk_marker_mapping(self):
         diff = (
@@ -185,12 +183,6 @@ class TestParse:
         doc = parse_unified_diff(diff)
         assert doc.files == ((None, "new.py"),)
 
-    def test_byte_size_counts_utf8_bytes(self):
-        diff = "diff --git a/f b/f\n--- a/f\n+++ b/f\n@@ -1 +1 @@\n-café\n+cafe\n"
-        doc = parse_unified_diff(diff)
-        assert doc.byte_size == len(diff.encode("utf-8"))
-        assert doc.byte_size == len(diff) + 1  # é is two bytes
-
     def test_empty_context_line_inside_hunk(self):
         diff = (
             "diff --git a/f b/f\n"
@@ -271,16 +263,6 @@ class TestNormalizeDiff:
         doc = make_doc([(" ", "abc123 " + "5" * 39 + "a")])
         norm = normalize_diff(doc)
         assert norm.lines[0].text == "abc123 <commit_id>"
-
-    def test_size_boundary_exact(self):
-        at_limit = DiffDocument(lines=(), byte_size=MAX_DIFF_BYTES, files=())
-        over = DiffDocument(lines=(), byte_size=MAX_DIFF_BYTES + 1, files=())
-        assert normalize_diff(at_limit) is not None
-        assert normalize_diff(over) is None
-
-    def test_two_megabyte_document_rejected(self):
-        doc = DiffDocument(lines=(), byte_size=2_000_000, files=())
-        assert normalize_diff(doc) is None
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -364,7 +346,6 @@ class TestNormalizeDiffOnePass:
                 DiffLine(line.kind, normalize_text(line.text), line.file_index, line.hunk_index)
                 for line in doc.lines
             ),
-            byte_size=doc.byte_size,
             files=doc.files,
         )
 

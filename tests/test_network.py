@@ -10,19 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gradient_check_instance, to_dense
-from staletodo.model import (
+from staletodo.model.network import (
+    MlpParams,
+    ShapeMismatch,
     bce_loss,
+    default_hidden_sizes,
+    embedding_gradient,
     forward,
     init_encoder,
     init_mlp,
     mean_pool,
     mlp_backward,
-)
-from staletodo.model.network import (
-    MlpParams,
-    ShapeMismatch,
-    default_hidden_sizes,
-    embedding_gradient,
 )
 from staletodo.model.vocab import PAD_INDEX, make_vocab
 

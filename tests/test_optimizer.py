@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from helpers import to_dense
-from staletodo.model import AdamState, RowGradient, adam_step, clip_gradients, global_norm
-from staletodo.model.optimizer import SPLIT_ENTRIES
+from staletodo.model.optimizer import (
+    SPLIT_ENTRIES,
+    AdamState,
+    RowGradient,
+    adam_step,
+    clip_gradients,
+    global_norm,
+)
 from staletodo.model.network import embedding_gradient
 from staletodo.model.vocab import PAD_INDEX
 

@@ -16,11 +16,15 @@ from staletodo.model import (
     load_model,
     predict_scores,
     save_model,
-    text_hash,
     train,
+)
+from staletodo.model.storage import (
+    ModelFileError,
+    VectorFileError,
+    encode_meta,
+    text_hash,
     write_external_vectors,
 )
-from staletodo.model.storage import ModelFileError, VectorFileError, encode_meta
 from staletodo.model.training import parse_mask
 
 DATA = Path(__file__).parent / "data"
@@ -256,6 +260,26 @@ class TestModelFileChecks:
         self, trained, tmp_path, edit, named
     ):
         path = edited_model_file(trained[0], tmp_path, lambda meta, arrays: edit(meta))
+        with pytest.raises(ModelFileError, match=named):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("component_mask", 5, "'component_mask' is not a list"),
+            ("component_mask", "cc", "'component_mask' is not a list"),
+            ("component_mask", [1], "1 is not a valid Component"),
+            ("component_mask", [], "component_mask must not be empty"),
+            ("backend", "gpu", "unknown backend 'gpu'"),
+        ],
+        ids=["mask-int", "mask-string", "mask-int-member", "mask-empty", "backend-gpu"],
+    )
+    def test_malformed_config_is_a_model_file_error(
+        self, trained, tmp_path, field, value, named
+    ):
+        path = edited_model_file(
+            trained[0], tmp_path, lambda meta, arrays: meta["config"].update({field: value})
+        )
         with pytest.raises(ModelFileError, match=named):
             load_model(path)
 

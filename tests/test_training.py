@@ -17,16 +17,14 @@ from staletodo.corpus import DatasetSplit, Label, split_dataset
 from staletodo.metrics import Status, confusion, metrics, status_of
 from staletodo.model import (
     ExternalVectorStore,
-    ModelParams,
-    RowGradient,
     TrainConfig,
-    adam_step,
     predict,
     predict_scores,
     save_model,
     train,
 )
 from staletodo.model import training
+from staletodo.model.optimizer import RowGradient, adam_step
 from staletodo.model.network import (
     COMPONENT_ORDER,
     Component,
@@ -37,6 +35,7 @@ from staletodo.model.network import (
 from staletodo.model.training import (
     MAX_LEN,
     SCORE_CHUNK,
+    ModelParams,
     _encode_samples,
     _init_model,
     component_text,
