@@ -19,11 +19,12 @@ from typing import Iterable, NamedTuple, Optional
 COMMIT_ID_PLACEHOLDER = "<commit_id>"
 ISSUE_ID_PLACEHOLDER = "<issue_id>"
 
-# A maximal 7-40 char hex run containing at least one digit. The digit
+# A maximal 7-64 char hex run containing at least one digit. The digit
 # requirement keeps ordinary words ("deedded") intact while still catching
-# real short/long git hashes. \b enforces both word delimitation and
-# maximality: longer hex runs have no interior boundary to anchor on.
-_HEX_RUN_RE = re.compile(r"\b(?=[0-9a-f]*\d)[0-9a-f]{7,40}\b")
+# real git ids, from short ones to full SHA-1 (40) and SHA-256 (64) ones. \b
+# enforces both word delimitation and maximality: longer hex runs have no
+# interior boundary to anchor on.
+_HEX_RUN_RE = re.compile(r"\b(?=[0-9a-f]*\d)[0-9a-f]{7,64}\b")
 _ISSUE_REF_RE = re.compile(r"#\d+")
 _SENTENCE_END_RE = re.compile(r"\.(?=\s|$)")
 

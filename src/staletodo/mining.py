@@ -38,7 +38,9 @@ GIT_LOG_ARGS = (
     "--inter-hunk-context=0", "--diff-algorithm=myers", "--indent-heuristic",
 )
 
-_COMMIT_HEADER_RE = re.compile(r"^commit ([0-9a-f]{7,40})\b")
+# --no-abbrev-commit gives full ids: 40 hex characters for SHA-1, 64 for
+# SHA-256 repositories.
+_COMMIT_HEADER_RE = re.compile(r"^commit ([0-9a-f]{64}|[0-9a-f]{40})\b")
 # A commit record's keys, in the order they are written.
 _FIELDS = tuple(f.name for f in dataclasses.fields(RawCommit))
 

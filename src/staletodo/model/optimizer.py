@@ -8,17 +8,13 @@ Each step runs BLOCK_ROWS rows at a time, in one pass per block: it decays
 the block's rows of both moments, adds the gradient rows that fall in the
 block, and updates the block's parameter rows through two block-sized
 scratch buffers, so no temporary is as large as an embedding table and a
-block stays in cache from one operation to the next. The blocks of a table
-of SPLIT_ENTRIES entries or more are shared between the caller and one
-helper thread. A RowGradient gives the same bits as dense Adam on the same
-gradient made dense, and the split gives the same bits as one thread.
+block stays in cache from one operation to the next. Every block runs on
+the calling thread. A RowGradient gives the same bits as dense Adam on the
+same gradient made dense.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -27,12 +23,6 @@ import numpy as np
 # Rows per block of the step. A 1024 x 128 block is 0.5 MiB of float32 (1 MiB
 # of float64), so the scratch buffers take a few MiB whatever the table's size.
 BLOCK_ROWS = 1024
-# Parameters of at least this many entries (4 MiB of float32, 8 MiB of
-# float64) share their blocks with the helper thread. Starting and joining it
-# costs about 0.2 ms a step, and on a 2-vCPU VM the float64 split step over a
-# 3,035 x 32 table was slower than one thread, while over a 20,438 x 128 one
-# it took 12-18 ms instead of 23-27.
-SPLIT_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,41 +93,20 @@ def adam_step(
     dense formula's operations in its order. A row no step has touched has
     m == v == 0, so its update is lr*0 / (0 + eps) == 0 and leaves it as it
     is.
-
-    The blocks of a parameter of SPLIT_ENTRIES entries or more are shared
-    by the caller, once its other blocks are done, and one helper thread:
-    each takes the next block neither has taken. A helper that gets no core
-    leaves the blocks to the caller instead of holding the step up. Numpy
-    releases the GIL while it loops over a block, and no two blocks share a
-    row, so every element gets the same operations whichever thread runs
-    them.
     """
     state.t += 1
     hyper = (lr, beta1, beta2, 1.0 - beta1**state.t, 1.0 - beta2**state.t, eps)
-    own: list[_Block] = []
-    shared: list[_Block] = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        blocks = _blocks(p, g, m, v)
-        (shared if p.size >= SPLIT_ENTRIES and len(blocks) > 1 else own).extend(blocks)
+    blocks = [
+        block
+        for p, g, m, v in zip(params, grads, state.m, state.v)
+        for block in _blocks(p, g, m, v)
+    ]
     # Scratch for any block, in the parameters' dtype.
     scratch = (
-        max((p.size for p, *_ in own + shared), default=0),
+        max((p.size for p, *_ in blocks), default=0),
         np.result_type(*params) if params else np.float64,
     )
-    if not shared:
-        _step_blocks(own, hyper, scratch)
-        return
-    lock = threading.Lock()
-    pending = iter(shared)
-
-    def take() -> Optional[_Block]:
-        with lock:
-            return next(pending, None)
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        done = helper.submit(_step_blocks, iter(take, None), hyper, scratch)
-        _step_blocks(itertools.chain(own, iter(take, None)), hyper, scratch)
-        done.result()
+    _step_blocks(blocks, hyper, scratch)
 
 
 # One block: views of p, m and v over the same rows, then the gradient's

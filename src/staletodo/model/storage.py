@@ -12,8 +12,9 @@ The header, the "meta" entry, is a 0-d bytes array of compact UTF-8 JSON:
 one byte per ASCII character. Files written before hold it as a 0-d numpy
 string, four bytes per character, and load the same way. A header that is
 neither, is not UTF-8 or is not JSON, a missing entry, a meta entry of the
-wrong type, an array of another dtype or an array nothing reads raises
-ModelFileError.
+wrong type, a config field TrainConfig refuses, an array of another dtype,
+an array nothing reads, or a table or first MLP layer whose width disagrees
+with the config's dim and components raises ModelFileError.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -183,7 +184,7 @@ def load_model(path: str):
         try:
             cfg["component_mask"] = frozenset(Component(v) for v in cfg["component_mask"])
             config = TrainConfig(**cfg)
-        except ValueError as exc:  # an unknown component or backend, or an empty mask
+        except ValueError as exc:  # a component, backend or field TrainConfig refuses
             raise ModelFileError(f"model config: {exc}") from None
         vocabs = {}
         for name, tokens in encoder_tokens.items():
@@ -220,9 +221,22 @@ def load_model(path: str):
     if unread:
         raise ModelFileError(f"model file has arrays no layer or encoder reads: {unread}")
     for component, encoder in model.encoders.items():
+        if encoder.embedding.shape[1:] != (config.dim,):
+            raise ModelFileError(
+                f"encoder {component.value!r}: table of shape {encoder.embedding.shape}"
+                f" for dim {config.dim}"
+            )
         if len(encoder.vocab) != encoder.embedding.shape[0]:
             raise ModelFileError(
                 f"encoder {component.value!r}: {len(encoder.vocab)} vocabulary tokens"
                 f" for {encoder.embedding.shape[0]} table rows"
             )
+    inputs = config.dim * len(config.active_components())
+    if "mlp_w0" not in arrays:
+        raise ModelFileError("model file lacks array 'mlp_w0'")
+    if arrays["mlp_w0"].shape[:1] != (inputs,):
+        raise ModelFileError(
+            f"array 'mlp_w0' of shape {arrays['mlp_w0'].shape} for {inputs} inputs"
+            f" (dim {config.dim} x {len(config.active_components())} components)"
+        )
     return model

@@ -59,6 +59,12 @@ _TEXT_FIELD = {
 }
 
 
+# The least value of each integer TrainConfig field.
+_INT_FIELD_LEAST = {
+    "batch_size": 1, "validate_every": 0, "max_epochs": 0, "seed": 0, "dim": 1, "min_freq": 1,
+}
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 32
@@ -72,6 +78,15 @@ class TrainConfig:
     min_freq: int = 2
 
     def __post_init__(self):
+        for name, least in _INT_FIELD_LEAST.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be a finite number above 0, got {lr!r}")
         if not self.component_mask:
             raise ValueError("component_mask must not be empty")
         if self.backend not in (INTERNAL, EXTERNAL):

@@ -15,8 +15,10 @@ CLS_INDEX = 2
 _SPECIALS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN)
 
 # Placeholders survive as single tokens; +/- diff markers are kept so the
-# encoder can tell added from removed code.
-_MODEL_TOKEN_RE = re.compile(r"<commit_id>|<issue_id>|[a-z0-9]+|[+-]")
+# encoder can tell added from removed code. A word is a run of Unicode
+# letters and digits, which on ASCII text is a run of [a-z0-9] after
+# lowercasing.
+_MODEL_TOKEN_RE = re.compile(r"<commit_id>|<issue_id>|[^\W_]+|[+-]")
 
 
 class EmptyCorpus(ValueError):

@@ -152,6 +152,27 @@ class TestTrainEval:
         assert record["error"] == "valueerror"
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize(
+        "option, value, named",
+        [
+            ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+            ("--batch-size", "-1", "batch_size must be at least 1, got -1"),
+            ("--dim", "0", "dim must be at least 1, got 0"),
+            ("--epochs", "-1", "max_epochs must be at least 0, got -1"),
+            ("--learning-rate", "nan", "learning_rate must be a finite number above 0"),
+        ],
+    )
+    def test_out_of_range_option_is_a_value_error_record(
+        self, synthetic_corpus_path, tmp_path, option, value, named, capsys
+    ):
+        argv = ["train", "--corpus", synthetic_corpus_path, "--out", str(tmp_path / "m.npz"),
+                option, value]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "valueerror"
+        assert named in record["detail"]
+        assert not (tmp_path / "m.npz").exists()
+
     def test_malformed_model_file_is_a_model_file_error_record(
         self, synthetic_corpus_path, model_path, tmp_path, capsys
     ):

@@ -250,7 +250,7 @@ class TestNormalizeDiff:
         assert norm.lines[0].text == "revert <commit_id>"
 
     def test_overlong_hex_run_kept(self):
-        run = "a1" * 21  # 42 chars: longer than any git hash
+        run = "a1" * 33  # 66 chars: longer than any git id
         doc = make_doc([(" ", run)])
         assert normalize_diff(doc).lines[0].text == run
 
@@ -263,6 +263,10 @@ class TestNormalizeDiff:
         doc = make_doc([(" ", "abc123 " + "5" * 39 + "a")])
         norm = normalize_diff(doc)
         assert norm.lines[0].text == "abc123 <commit_id>"
+
+    def test_sha256_id_replaced(self):
+        doc = make_doc([(" ", "revert " + "5a" * 32)])
+        assert normalize_diff(doc).lines[0].text == "revert <commit_id>"
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -366,7 +370,7 @@ class TestNormalizeMessagePlaceholders:
         first and hex runs second, each by its own pattern."""
         text = re.split(r"(?<=\.)(?=\s|$)|\n", message.lower(), maxsplit=1)[0]
         text = re.sub(r"#\d+", "<issue_id>", text)
-        text = re.sub(r"\b(?=[0-9a-f]*\d)[0-9a-f]{7,40}\b", "<commit_id>", text)
+        text = re.sub(r"\b(?=[0-9a-f]*\d)[0-9a-f]{7,64}\b", "<commit_id>", text)
         assert normalize_message(message) == text.strip()
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import os
+import subprocess
 
 import pytest
 
@@ -68,6 +69,23 @@ class TestMineRepository:
 
         repo = init_repo(tmp_path / "empty_repo")
         assert list(mine_repository(repo)) == []
+
+    def test_sha256_repository_mines_every_commit(self, tmp_path):
+        repo = tmp_path / "sha256_repo"
+        repo.mkdir()
+        try:
+            git(repo, "init", "-q", "--object-format=sha256")
+        except subprocess.CalledProcessError:
+            pytest.skip("this git cannot create SHA-256 repositories")
+        (repo / "a.py").write_text("x = 1\n", encoding="utf-8")
+        commit_all(repo, "Add a", 1)
+        (repo / "a.py").write_text("# TODO: check x\nx = 2\n", encoding="utf-8")
+        commit_all(repo, "Change a", 2)
+        commits = list(mine_repository(str(repo)))
+        assert [c.commit_id for c in commits] == git(repo, "rev-list", "HEAD").split()
+        assert [len(c.commit_id) for c in commits] == [64, 64]
+        assert [c.message for c in commits] == ["Change a", "Add a"]
+        assert "+# TODO: check x" in commits[0].diff_text
 
 
 class TestUserGitConfig:

@@ -271,8 +271,27 @@ class TestModelFileChecks:
             ("component_mask", [1], "1 is not a valid Component"),
             ("component_mask", [], "component_mask must not be empty"),
             ("backend", "gpu", "unknown backend 'gpu'"),
+            ("dim", 7, r"'cc': table of shape \(\d+, 16\) for dim 7"),
+            ("dim", "x", "dim must be an integer, got 'x'"),
+            ("dim", True, "dim must be an integer, got True"),
+            ("dim", 0, "dim must be at least 1, got 0"),
+            ("seed", "x", "seed must be an integer, got 'x'"),
+            ("seed", -1, "seed must be at least 0, got -1"),
+            ("max_epochs", 2.5, "max_epochs must be an integer, got 2.5"),
+            ("validate_every", None, "validate_every must be an integer, got None"),
+            ("min_freq", 0, "min_freq must be at least 1, got 0"),
+            ("batch_size", -3, "batch_size must be at least 1, got -3"),
+            ("learning_rate", "fast", "learning_rate must be a finite number above 0"),
+            ("learning_rate", 0, "learning_rate must be a finite number above 0"),
+            ("learning_rate", float("nan"), "learning_rate must be a finite number above 0"),
+            ("learning_rate", True, "learning_rate must be a finite number above 0"),
         ],
-        ids=["mask-int", "mask-string", "mask-int-member", "mask-empty", "backend-gpu"],
+        ids=[
+            "mask-int", "mask-string", "mask-int-member", "mask-empty", "backend-gpu",
+            "dim-7", "dim-string", "dim-bool", "dim-0", "seed-string", "seed-negative",
+            "epochs-float", "validate-every-null", "min-freq-0", "batch-size-negative",
+            "lr-string", "lr-0", "lr-nan", "lr-bool",
+        ],
     )
     def test_malformed_config_is_a_model_file_error(
         self, trained, tmp_path, field, value, named
@@ -281,6 +300,25 @@ class TestModelFileChecks:
             trained[0], tmp_path, lambda meta, arrays: meta["config"].update({field: value})
         )
         with pytest.raises(ModelFileError, match=named):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "table", [np.float32(0.5), np.zeros(16, np.float32)], ids=["0-d", "1-d"]
+    )
+    def test_table_that_is_not_dim_wide_is_a_model_file_error(self, trained, tmp_path, table):
+        def replace(meta, arrays):
+            arrays["emb_td"] = np.asarray(table)
+
+        path = edited_model_file(trained[0], tmp_path, replace)
+        with pytest.raises(ModelFileError, match=r"'td': table of shape \(\d*,?\) for dim 16"):
+            load_model(path)
+
+    def test_mlp_input_must_be_dim_times_the_components(self, trained, tmp_path):
+        def drop_row(meta, arrays):
+            arrays["mlp_w0"] = arrays["mlp_w0"][1:]
+
+        path = edited_model_file(trained[0], tmp_path, drop_row)
+        with pytest.raises(ModelFileError, match=r"'mlp_w0' .* 32 inputs \(dim 16 x 2 comp"):
             load_model(path)
 
     def test_meta_that_is_not_an_object_is_a_model_file_error(self, trained, tmp_path):

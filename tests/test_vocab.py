@@ -1,9 +1,12 @@
 """Vocabulary construction and model tokenization."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staletodo.model.vocab import (
     CLS_TOKEN,
@@ -27,6 +30,25 @@ class TestTokenizer:
     def test_markers_kept_identifiers_split(self):
         tokens = tokenize_for_model("+queue.flush()\n-old_value = 3")
         assert tokens == ["+", "queue", "flush", "-", "old", "value", "3"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["<commit_id>", "<ISSUE_ID>", "<issue_id", "_", "+-", "Foo_bar9"]),
+                st.text(st.characters(max_codepoint=127), max_size=4),
+            ),
+            max_size=8,
+        ).map("".join)
+    )
+    def test_ascii_tokens_match_the_ascii_pattern(self, text):
+        ascii_tokens = re.findall(r"<commit_id>|<issue_id>|[a-z0-9]+|[+-]", text.lower())
+        assert tokenize_for_model(text) == ascii_tokens
+
+    def test_non_ascii_words_are_tokens(self):
+        assert tokenize_for_model("# TODO: 修复这个问题") == ["todo", "修复这个问题"]
+        assert tokenize_for_model("Überprüfen später_2") == ["überprüfen", "später", "2"]
+        assert tokenize_for_model("+café = naïve") == ["+", "café", "naïve"]
 
 
 class TestBuildVocab:
