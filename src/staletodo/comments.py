@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterator, Optional
 
-from .diffs import DiffDocument, DiffLine, LineKind, render_lines
+from .diffs import MARKER_KINDS, DiffDocument, LineKind
 
 DEFAULT_CONTEXT_LINES = 3
 
@@ -62,16 +62,20 @@ class CommentSpan:
 class TodoComment:
     """A comment containing the TODO marker, tied to its diff line.
 
-    index is the line's position in the document's lines, and [start, end)
-    is the comment's span on the line, delimiters included.
+    index is the line's position in the document's lines and kind its
+    marker's kind; [start, end) is the comment's span on the line without
+    its marker, delimiters included. file_index and hunk index the
+    document's files and hunks.
     """
 
     text: str
-    line: DiffLine
+    kind: LineKind
     language: Language
     index: int
     start: int
     end: int
+    file_index: int
+    hunk: int
 
 
 # One pattern per language, matched with finditer: a match is a string
@@ -97,15 +101,11 @@ def iter_line_comments(text: str, language: Language) -> Iterator[CommentSpan]:
             yield CommentSpan(m.start(), m.end(), m[m.lastgroup].strip())
 
 
-def extract_comments(
-    doc: DiffDocument, language: Language
-) -> list[tuple[DiffLine, str]]:
-    """Extract every comment from a normalized document, in line order."""
-    found = []
-    for line in doc.lines:
-        for span in iter_line_comments(line.text, language):
-            found.append((line, span.text))
-    return found
+def extract_comments(doc: DiffDocument, language: Language) -> list[tuple[str, str]]:
+    """Every (line, comment text) of a normalized document, in line order."""
+    return [
+        (line, span.text) for line in doc.lines for span in iter_line_comments(line[1:], language)
+    ]
 
 
 def extract_comments_by_file(
@@ -121,12 +121,19 @@ def extract_comments_by_file(
         for old, new in doc.files
     ]
     found = []
-    for index, line in enumerate(doc.lines):
-        language = file_languages[line.file_index]
+    for hunk, file_index in enumerate(doc.hunk_files):
+        language = file_languages[file_index]
         if language is None:
             continue
-        for span in line_todos(line.text, language):
-            found.append(TodoComment(span.text, line, language, index, span.start, span.end))
+        for index in range(doc.hunk_starts[hunk], doc.hunk_starts[hunk + 1]):
+            line = doc.lines[index]
+            if "todo" not in line.lower():  # line_todos's test, before slicing
+                continue
+            for span in line_todos(line[1:], language):
+                found.append(TodoComment(
+                    span.text, MARKER_KINDS[line[0]], language, index, span.start, span.end,
+                    file_index, hunk,
+                ))
     return found
 
 
@@ -161,29 +168,24 @@ def associate(
     """True iff a changed line sits within context_lines of the TODO line.
 
     Only lines of the same hunk count, the TODO line itself does not: the
-    code change a TODO is tied to must be a different line. A hunk's lines
-    are contiguous in the document, so its lines within context_lines of
-    the TODO are among the context_lines lines on either side of it.
+    code change a TODO is tied to must be a different line.
     """
     i = todo.index
-    anchor = todo.line
-    for line in doc.lines[max(i - context_lines, 0) : i] + doc.lines[i + 1 : i + 1 + context_lines]:
-        if (
-            line.kind is not LineKind.CONTEXT
-            and line.file_index == anchor.file_index
-            and line.hunk_index == anchor.hunk_index
-        ):
-            return True
-    return False
+    first, end = doc.hunk_starts[todo.hunk : todo.hunk + 2]
+    return any(
+        doc.lines[j][0] != " "
+        for j in range(max(i - context_lines, first), min(i + 1 + context_lines, end))
+        if j != i
+    )
 
 
 def carve_code_change(doc: DiffDocument, todo: TodoComment) -> str:
-    """The diff minus the TODO comment, rendered with its markers.
+    """The diff's lines, markers kept, minus the TODO comment, joined by "\\n".
 
     A comment-only TODO line disappears entirely; when code and TODO share
     a line only the comment segment (delimiters included) is excised.
     """
-    text = todo.line.text
-    rest = (text[: todo.start] + text[todo.end :]).rstrip()
-    carved = (todo.line._replace(text=rest),) if rest else ()
-    return render_lines(doc.lines[: todo.index] + carved + doc.lines[todo.index + 1 :])
+    line = doc.lines[todo.index]
+    rest = (line[1 : 1 + todo.start] + line[1 + todo.end :]).rstrip()
+    carved = (line[0] + rest,) if rest else ()
+    return "\n".join(doc.lines[: todo.index] + carved + doc.lines[todo.index + 1 :])

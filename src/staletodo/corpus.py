@@ -119,7 +119,7 @@ def label_triple(
     commit_id: str = "",
 ) -> Optional[TripleSample]:
     """Label by the TODO line's diff scope; None for first-time (added) TODOs."""
-    kind = todo.line.kind
+    kind = todo.kind
     if kind is LineKind.ADDED:
         return None
     label = Label.POSITIVE if kind is LineKind.REMOVED else Label.NEGATIVE
@@ -161,7 +161,7 @@ def extract_triple(
     todo = single_todo_filter(extract_comments_by_file(norm, languages))
     if todo is None:
         return "no_single_todo"
-    if todo.line.kind not in kinds:
+    if todo.kind not in kinds:
         return "other_kind"
     if not associate(todo, norm):
         return "unassociated"
@@ -174,7 +174,7 @@ def extract_triple(
     sample = label_triple(todo, code_change, message, repo=commit.repo, commit_id=commit.commit_id)
     if sample is None:
         return "added_kind"
-    old, new = norm.files[todo.line.file_index]
+    old, new = norm.files[todo.file_index]
     return sample, todo, new or old
 
 

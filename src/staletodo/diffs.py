@@ -1,8 +1,9 @@
 """Unified diff parsing and normalization.
 
-Turns the textual diff of a commit into a line-tagged document and applies
-the text normalization used everywhere downstream: lowercasing, commit-id
-and issue-id placeholders, and first-sentence truncation of commit messages.
+Turns the textual diff of a commit into a document of marker-prefixed body
+lines and applies the text normalization used everywhere downstream:
+lowercasing, commit-id and issue-id placeholders, and first-sentence
+truncation of commit messages.
 
 The parser targets diffs as emitted by ``git log -p`` / ``git show``. It
 keeps only hunk body lines; file headers, hunk headers, mode/index lines
@@ -14,17 +15,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Optional
 
 COMMIT_ID_PLACEHOLDER = "<commit_id>"
 ISSUE_ID_PLACEHOLDER = "<issue_id>"
 
 # A maximal 7-64 char hex run containing at least one digit. The digit
 # requirement keeps ordinary words ("deedded") intact while still catching
-# real git ids, from short ones to full SHA-1 (40) and SHA-256 (64) ones. \b
-# enforces both word delimitation and maximality: longer hex runs have no
-# interior boundary to anchor on.
-_HEX_RUN_RE = re.compile(r"\b(?=[0-9a-f]*\d)[0-9a-f]{7,64}\b")
+# real git ids, from short ones to full SHA-1 (40) and SHA-256 (64) ones.
+# The run starts where the character before its first is no word character
+# (the lookbehind), and \b ends it: longer hex runs have no interior boundary
+# to anchor on. The pattern opens with its character class, so the engine
+# skips every other character without entering the lookarounds.
+_HEX_RUN_RE = re.compile(r"[0-9a-f](?<!\w.)(?:(?<=\d)|(?=[0-9a-f]*\d))[0-9a-f]{6,63}\b")
 _ISSUE_REF_RE = re.compile(r"#\d+")
 _SENTENCE_END_RE = re.compile(r"\.(?=\s|$)")
 
@@ -56,8 +59,8 @@ class LineKind(Enum):
     CONTEXT = "context"
 
 
-_MARKER_TO_KIND = {"+": LineKind.ADDED, "-": LineKind.REMOVED, " ": LineKind.CONTEXT}
-_KIND_TO_MARKER = {LineKind.ADDED: "+", LineKind.REMOVED: "-", LineKind.CONTEXT: " "}
+# A body line's kind is its first character, its marker.
+MARKER_KINDS = {"+": LineKind.ADDED, "-": LineKind.REMOVED, " ": LineKind.CONTEXT}
 
 
 @dataclass(frozen=True)
@@ -70,27 +73,19 @@ class RawCommit:
     repo: str = ""
 
 
-class DiffLine(NamedTuple):
-    """A single hunk body line with its marker stripped.
-
-    A named tuple, not a dataclass: a diff makes one per body line, and a
-    tuple is many times cheaper to build.
-    """
-
-    kind: LineKind
-    text: str
-    file_index: int
-    hunk_index: int
-
-    def marker(self) -> str:
-        return _KIND_TO_MARKER[self.kind]
-
-
 @dataclass(frozen=True)
 class DiffDocument:
-    """Ordered content lines of a diff plus file paths."""
+    """The hunk body lines of a diff and the paths of its files.
 
-    lines: tuple[DiffLine, ...]
+    Each line is kept as git wrote it, marker first ("+", "-" or " "); an
+    empty body line is " ". hunk_starts holds each hunk's first line, then
+    len(lines): hunk k is lines[hunk_starts[k] : hunk_starts[k + 1]], of file
+    hunk_files[k].
+    """
+
+    lines: tuple[str, ...]
+    hunk_starts: tuple[int, ...]
+    hunk_files: tuple[int, ...]
     files: tuple[tuple[Optional[str], Optional[str]], ...]
 
 
@@ -99,65 +94,58 @@ def parse_unified_diff(diff_text: str) -> DiffDocument:
 
     Empty input yields an empty document. Metadata lines (file and hunk
     headers, index/mode lines, binary notices, "\\ No newline" markers) are
-    skipped; every hunk body line becomes exactly one DiffLine. Hunk bodies
-    are delimited by the line counts declared in the hunk header, so body
-    lines that happen to start with "---" are never mistaken for headers.
+    skipped; every hunk body line becomes exactly one line of the document.
+    Hunk bodies are delimited by the line counts declared in the hunk header,
+    so body lines that happen to start with "---" are never mistaken for
+    headers.
 
     Raises MalformedDiff when a hunk body line carries no valid marker.
     """
-    lines: list[DiffLine] = []
-    files: list[tuple[Optional[str], Optional[str]]] = []
+    lines: list[str] = []
+    hunk_starts: list[int] = []
+    hunk_files: list[int] = []
+    # Each file's old and new path as written; the last header to name one wins.
+    headers: list[list[str]] = []
 
-    file_index = -1
-    hunk_index = -1
     remaining_old = 0
     remaining_new = 0
 
     # Git ends lines with "\n" only. str.splitlines would also break at
     # "\r", "\x0c", "\u2028" and others, all of which a source line may hold.
     for line_no, raw in enumerate(diff_text.removesuffix("\n").split("\n"), start=1):
-        in_hunk = remaining_old > 0 or remaining_new > 0
-
-        if in_hunk:
-            if raw.startswith("\\"):
-                continue  # "\ No newline at end of file"
-            marker = raw[0] if raw else " "
-            kind = _MARKER_TO_KIND.get(marker)
-            if kind is None:
+        if remaining_old > 0 or remaining_new > 0:
+            marker = raw[:1]
+            if marker in ("+", "-", " ", ""):  # "" is an empty context line
+                remaining_old -= marker != "+"
+                remaining_new -= marker != "-"
+                lines.append(raw or " ")
+            elif marker != "\\":  # "\ No newline at end of file" is skipped
                 raise MalformedDiff(line_no, raw)
-            if kind is not LineKind.ADDED:
-                remaining_old -= 1
-            if kind is not LineKind.REMOVED:
-                remaining_new -= 1
-            text = raw[1:] if raw else ""
-            lines.append(DiffLine(kind, text, file_index, hunk_index))
             continue
 
         header = _FILE_HEADER_RE.match(raw)
         if header:
-            file_index += 1
-            hunk_index = -1
-            files.append((_header_path(header["old"], "a/"), _header_path(header["new"], "b/")))
+            headers.append([header["old"], header["new"]])
             continue
 
         hunk = _HUNK_HEADER_RE.match(raw)
-        if hunk and file_index >= 0:
-            hunk_index += 1
+        if hunk and headers:
+            hunk_starts.append(len(lines))
+            hunk_files.append(len(headers) - 1)
             remaining_old = int(hunk.group("old_count") or "1")
             remaining_new = int(hunk.group("new_count") or "1")
             continue
 
-        if raw.startswith("--- ") and file_index >= 0:
-            files[file_index] = (_header_path(raw[4:].strip(), "a/"), files[file_index][1])
-            continue
-        if raw.startswith("+++ ") and file_index >= 0:
-            files[file_index] = (files[file_index][0], _header_path(raw[4:].strip(), "b/"))
-            continue
+        # Index, mode, similarity and binary lines and any preamble are
+        # metadata; "---" and "+++" lines name the file's two paths.
+        if raw.startswith("--- ") and headers:
+            headers[-1][0] = raw[4:].strip()
+        elif raw.startswith("+++ ") and headers:
+            headers[-1][1] = raw[4:].strip()
 
-        # index/mode/similarity/binary lines and any leading preamble
-        continue
-
-    return DiffDocument(lines=tuple(lines), files=tuple(files))
+    hunk_starts.append(len(lines))
+    files = tuple((_header_path(old, "a/"), _header_path(new, "b/")) for old, new in headers)
+    return DiffDocument(tuple(lines), tuple(hunk_starts), tuple(hunk_files), files)
 
 
 def _header_path(token: str, prefix: str) -> Optional[str]:
@@ -185,15 +173,14 @@ def normalize_diff(doc: DiffDocument) -> DiffDocument:
     too; the operation is idempotent because the placeholders contain no
     hex run.
     """
-    # One pass over all lines is the same as one per line: no line holds
-    # "\n", str.lower never makes or removes one, and a hex run cannot
-    # cross one.
-    texts = normalize_text("\n".join(line.text for line in doc.lines)).split("\n")
-    lines = tuple(
-        DiffLine(line.kind, text, line.file_index, line.hunk_index)
-        for line, text in zip(doc.lines, texts)
-    )
-    return DiffDocument(lines=lines, files=doc.files)
+    # One pass over all lines is the same as one per line without its
+    # marker: no line holds "\n", str.lower never makes or removes one, a
+    # hex run cannot cross one, and the markers are not word characters and
+    # have no case.
+    if not doc.lines:
+        return doc
+    lines = tuple(normalize_text("\n".join(doc.lines)).split("\n"))
+    return DiffDocument(lines, doc.hunk_starts, doc.hunk_files, doc.files)
 
 
 def normalize_text(text: str) -> str:
@@ -222,7 +209,3 @@ def normalize_message(message: str) -> str:
     # not a hex run.
     return normalize_text(_ISSUE_REF_RE.sub(ISSUE_ID_PLACEHOLDER, text)).strip()
 
-
-def render_lines(lines: Iterable[DiffLine]) -> str:
-    """Flatten diff lines back to marker-prefixed text."""
-    return "\n".join(f"{line.marker()}{line.text}" for line in lines)

@@ -13,8 +13,10 @@ one byte per ASCII character. Files written before hold it as a 0-d numpy
 string, four bytes per character, and load the same way. A header that is
 neither, is not UTF-8 or is not JSON, a missing entry, a meta entry of the
 wrong type, a config field TrainConfig refuses, an array of another dtype,
-an array nothing reads, or a table or first MLP layer whose width disagrees
-with the config's dim and components raises ModelFileError.
+an array nothing reads, a table whose width disagrees with the config's dim,
+or an MLP layer that does not take the outputs of the one before it (the
+first: dim times the components) or a last layer without exactly one output
+raises ModelFileError.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
@@ -231,12 +233,18 @@ def load_model(path: str):
                 f"encoder {component.value!r}: {len(encoder.vocab)} vocabulary tokens"
                 f" for {encoder.embedding.shape[0]} table rows"
             )
-    inputs = config.dim * len(config.active_components())
-    if "mlp_w0" not in arrays:
+    if not model.mlp.weights:
         raise ModelFileError("model file lacks array 'mlp_w0'")
-    if arrays["mlp_w0"].shape[:1] != (inputs,):
-        raise ModelFileError(
-            f"array 'mlp_w0' of shape {arrays['mlp_w0'].shape} for {inputs} inputs"
-            f" (dim {config.dim} x {len(config.active_components())} components)"
-        )
+    # Each layer takes the outputs of the one before, the first the encoders'.
+    inputs = config.dim * len(config.active_components())
+    source = f"dim {config.dim} x {len(config.active_components())} components"
+    for i, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
+        if w.ndim != 2 or w.shape[0] != inputs or b.shape != w.shape[1:]:
+            raise ModelFileError(
+                f"arrays 'mlp_w{i}' of shape {w.shape} and 'mlp_b{i}' of shape {b.shape}"
+                f" for {inputs} inputs ({source})"
+            )
+        inputs, source = w.shape[1], f"the outputs of 'mlp_w{i}'"
+    if inputs != 1:
+        raise ModelFileError(f"the last MLP layer has {inputs} outputs, not 1")
     return model

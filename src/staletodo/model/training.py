@@ -41,7 +41,8 @@ from .network import (
 )
 from .optimizer import AdamState, adam_step, clip_gradients
 from .storage import EXTERNAL_DIM, ExternalVectorStore
-from .vocab import PAD_INDEX, Vocab, build_vocab
+# build_vocab is not called here: bench/tracing.py patches this name.
+from .vocab import PAD_INDEX, Vocab, build_vocab, encode_corpus
 
 INTERNAL = "internal"
 EXTERNAL = "external"
@@ -258,17 +259,17 @@ def train(
     rng = np.random.default_rng(config.seed)
 
     # Each encoder has its own vocabulary, built from its own component's
-    # training texts only.
-    vocabs = {}
+    # training texts only, in the pass that encodes them.
+    vocabs, train_encoded = {}, {}
     if config.backend == INTERNAL:
-        vocabs = {
-            c: build_vocab([component_text(s, c) for s in split.train], min_freq=config.min_freq)
-            for c in config.active_components()
-        }
+        for c in config.active_components():
+            texts = [component_text(s, c) for s in split.train]
+            vocabs[c], train_encoded[c] = encode_corpus(texts, MAX_LEN[c], config.min_freq)
     model = _init_model(rng, vocabs, config)
     mlp = model.mlp
 
-    train_encoded = _encode_samples(split.train, model, store)
+    if config.backend == EXTERNAL:
+        train_encoded = _encode_samples(split.train, model, store)
     val_encoded = _encode_samples(split.val, model, store)
     y_train = np.array([1.0 if s.label is Label.POSITIVE else 0.0 for s in split.train])
     val_labels = [s.label for s in split.val]
@@ -286,7 +287,8 @@ def train(
 
     def validate(epoch: int, last: bool = False) -> None:
         """Score the validation set and keep the model if it is the best so
-        far: a copy, or the live model itself when no step follows."""
+        far: copied into the buffers of the first copy, or the live model
+        itself when no step follows."""
         nonlocal best_f1, best, running_loss, running_batches
         scores = _scores(len(split.val), val_encoded, model)
         f1 = metrics(confusion([status_of(s) for s in scores], val_labels)).f1
@@ -299,12 +301,14 @@ def train(
         comparable = -1.0 if f1 is None else f1
         if comparable > best_f1:
             best_f1 = comparable
-            best = None  # free the old checkpoint before copying the new one
             if last:
                 best = model
-            else:
+            elif best is None:
                 copies = {name: a.copy() for name, a in model.arrays().items()}
                 best = ModelParams.from_arrays(copies, vocabs, config)
+            else:
+                for kept, live in zip(best.arrays().values(), model.arrays().values()):
+                    np.copyto(kept, live)
             history.best_batch = batches_done
 
     diverged = False

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -37,14 +40,11 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def encode(self, tokens: Sequence[str], max_len: int) -> list[int]:
-        """Map tokens to ids, truncating the tail and padding to max_len."""
-        ids = [self.index.get(t, UNK_INDEX) for t in tokens[:max_len]]
+    def encode_text(self, text: str, max_len: int) -> list[int]:
+        """Map text's tokens to ids, truncating the tail and padding to max_len."""
+        ids = [self.index.get(t, UNK_INDEX) for t in tokenize_for_model(text)[:max_len]]
         ids.extend([PAD_INDEX] * (max_len - len(ids)))
         return ids
-
-    def encode_text(self, text: str, max_len: int) -> list[int]:
-        return self.encode(tokenize_for_model(text), max_len)
 
 
 def make_vocab(tokens: Sequence[str]) -> Vocab:
@@ -60,13 +60,39 @@ def build_vocab(corpus: Iterable[str], min_freq: int = 2) -> Vocab:
     Token order is first occurrence, so the result is deterministic given
     corpus order. Rarer tokens all map to UNK.
     """
-    counts: dict[str, int] = {}
-    n_docs = 0
-    for text in corpus:
-        n_docs += 1
-        for token in tokenize_for_model(text):
-            counts[token] = counts.get(token, 0) + 1
-    if n_docs == 0:
+    return encode_corpus(list(corpus), 1, min_freq)[0]
+
+
+def encode_corpus(
+    corpus: Sequence[str], max_len: int, min_freq: int = 2
+) -> tuple[Vocab, np.ndarray]:
+    """build_vocab(corpus, min_freq) and the texts' ids in it, from one
+    tokenize_for_model pass.
+
+    Row i is vocab.encode_text(corpus[i], max_len) cut to the width of the
+    longest text, at least 1 column: no token maps to PAD, so a dropped
+    column is PAD in every row.
+    """
+    if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
-    kept = [t for t, c in counts.items() if c >= min_freq and t not in _SPECIALS]
-    return make_vocab(list(_SPECIALS) + kept)
+    # Provisional ids number the distinct tokens in first-occurrence order;
+    # the tokenizer never yields a special token.
+    provisional: dict[str, int] = {}
+    flat = array("i")
+    lengths = np.empty(len(corpus), np.int64)
+    for i, text in enumerate(corpus):
+        tokens = tokenize_for_model(text)
+        flat.extend([provisional.setdefault(t, len(provisional)) for t in tokens])
+        lengths[i] = len(tokens)
+    ids = np.frombuffer(flat, np.intc)
+    kept = np.bincount(ids, minlength=len(provisional)) >= min_freq
+    vocab = make_vocab([*_SPECIALS, *(t for t, k in zip(provisional, kept) if k)])
+    remap = np.full(len(provisional), UNK_INDEX, np.int64)
+    remap[kept] = np.arange(len(_SPECIALS), len(vocab))
+    # Row i takes its first width ids from flat, starting at starts[i].
+    width = max(1, min(max_len, int(lengths.max())))
+    used = np.arange(width) < lengths[:, None]
+    starts = np.cumsum(lengths) - lengths
+    matrix = np.full((len(corpus), width), PAD_INDEX, np.int64)
+    matrix[used] = remap[ids[(starts[:, None] + np.arange(width))[used]]]
+    return vocab, matrix

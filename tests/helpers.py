@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from staletodo.corpus import Label, TripleSample
-from staletodo.diffs import DiffDocument, DiffLine, LineKind, RawCommit
+from staletodo.diffs import DiffDocument, LineKind, RawCommit
 from staletodo.model.network import (
     bce_loss,
     embedding_gradient,
@@ -22,17 +22,10 @@ from staletodo.model.network import (
 from staletodo.model.optimizer import RowGradient
 from staletodo.model.vocab import PAD_INDEX
 
-KIND_BY_CHAR = {"+": LineKind.ADDED, "-": LineKind.REMOVED, " ": LineKind.CONTEXT}
-
-
-def make_line(kind_char, text, file_index=0, hunk_index=0):
-    return DiffLine(KIND_BY_CHAR[kind_char], text, file_index, hunk_index)
-
-
 def make_doc(specs, files=(("a.py", "a.py"),)):
     """One-file one-hunk document from [(marker_char, text), ...]."""
-    lines = tuple(make_line(ch, text) for ch, text in specs)
-    return DiffDocument(lines=lines, files=tuple(files))
+    lines = tuple(ch + text for ch, text in specs)
+    return DiffDocument(lines, hunk_starts=(0, len(lines)), hunk_files=(0,), files=tuple(files))
 
 
 def unified_diff(files):

@@ -186,6 +186,20 @@ class TestTrainEval:
         assert record["error"] == "modelfileerror"
         assert "mlp_b1" in record["detail"]
 
+    def test_mlp_layer_cut_short_is_a_model_file_error_record(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        with np.load(data / "float64_model.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["mlp_w1"] = arrays["mlp_w1"][:7]
+        path = str(tmp_path / "model.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        argv = ["eval", "--corpus", str(data / "float64_model_corpus.jsonl"), "--model", path]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "modelfileerror"
+        assert "'mlp_w1' of shape (7, 8) and 'mlp_b1' of shape (8,) for 8 inputs" in record["detail"]
+
     def test_malformed_model_config_is_a_model_file_error_record(
         self, synthetic_corpus_path, model_path, tmp_path, capsys
     ):

@@ -5,13 +5,14 @@ import random
 import shutil
 import subprocess
 import tokenize
+from bisect import bisect_right
 from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_doc, make_line, unified_diff
+from helpers import make_doc, unified_diff
 from staletodo.comments import (
     _TODO_TOKEN_RE,
     EXTENSION_LANGUAGES,
@@ -28,13 +29,14 @@ from staletodo.comments import (
     single_todo_filter,
 )
 from staletodo.diffs import (
+    MARKER_KINDS,
     DiffDocument,
-    DiffLine,
     LineKind,
     normalize_diff,
     parse_unified_diff,
-    render_lines,
 )
+
+MARKERS = {kind: marker for marker, kind in MARKER_KINDS.items()}
 
 
 def comments_of(text, language):
@@ -46,11 +48,32 @@ def python_todos(doc):
     return extract_comments_by_file(doc, (Language.PYTHON,))
 
 
+def todo_comment(doc, index, span, language):
+    """The TodoComment of span on doc.lines[index], with the line's kind,
+    file and hunk."""
+    hunk = bisect_right(doc.hunk_starts, index) - 1
+    kind = MARKER_KINDS[doc.lines[index][0]]
+    return TodoComment(
+        span.text, kind, language, index, span.start, span.end, doc.hunk_files[hunk], hunk
+    )
+
+
 def todo_at(doc, index, language=Language.PYTHON):
     """The one TODO comment on doc.lines[index], as the finder carries it."""
-    line = doc.lines[index]
-    (span,) = line_todos(line.text, language)
-    return TodoComment(span.text, line, language, index, span.start, span.end)
+    (span,) = line_todos(doc.lines[index][1:], language)
+    return todo_comment(doc, index, span, language)
+
+
+def doc_of(specs, files):
+    """A document of (kind, file index, text) lines; a hunk starts at the
+    first line and wherever the file changes."""
+    starts = [i for i, spec in enumerate(specs) if i == 0 or spec[1] != specs[i - 1][1]]
+    return DiffDocument(
+        lines=tuple(MARKERS[kind] + text for kind, _, text in specs),
+        hunk_starts=(*starts, len(specs)),
+        hunk_files=tuple(specs[i][1] for i in starts),
+        files=files,
+    )
 
 
 class TestPythonLexer:
@@ -305,9 +328,8 @@ class TestExtractComments:
         )
         doc = normalize_diff(parse_unified_diff(diff))
         found = extract_comments(doc, Language.JAVA)
-        assert [(line.kind, text) for line, text in found] == [
-            (LineKind.REMOVED, "todo check rackspace file existence")
-        ]
+        line = "-int a; // todo check rackspace file existence"
+        assert found == [(line, "todo check rackspace file existence")]
 
     def test_lines_without_comments_contribute_nothing(self):
         doc = make_doc([("+", "x = 1"), (" ", "# note"), ("-", "y = 2")])
@@ -345,7 +367,7 @@ class TestFindTodos:
 class TestSingleTodoFilter:
     def _todos(self, n):
         return [
-            TodoComment(f"todo {i}", make_line(" ", f"# todo {i}"), Language.PYTHON, i, 0, 8)
+            TodoComment(f"todo {i}", LineKind.CONTEXT, Language.PYTHON, i, 0, 8, 0, 0)
             for i in range(n)
         ]
 
@@ -394,12 +416,12 @@ class TestAssociate:
         assert associate(todo_at(doc, 1), doc) is False
 
     def test_other_hunk_ignored(self):
-        lines = (
-            make_line(" ", "# todo: here", hunk_index=0),
-            make_line("+", "changed()", hunk_index=1),
+        doc = DiffDocument(
+            lines=(" # todo: here", "+changed()"),
+            hunk_starts=(0, 1, 2),
+            hunk_files=(0, 0),
+            files=(("a.py", "a.py"),),
         )
-        doc = make_doc([])
-        doc = doc.__class__(lines=lines, files=(("a.py", "a.py"),))
         assert associate(todo_at(doc, 0), doc) is False
 
     def test_matches_bruteforce_pairwise_oracle(self):
@@ -415,7 +437,7 @@ class TestAssociate:
 
             # One hunk: a line's position in it is its index.
             expected = any(
-                line.kind in (LineKind.ADDED, LineKind.REMOVED)
+                line[0] in "+-"
                 and position != todo_pos
                 and abs(position - todo_pos) <= context
                 for position, line in enumerate(doc.lines)
@@ -447,7 +469,7 @@ class TestAssociate:
         for todo in python_todos(doc):
             file_index, hunk_index, position = places[todo.index]
             expected = any(
-                line.kind is not LineKind.CONTEXT
+                line[0] != " "
                 and (f, h) == (file_index, hunk_index)
                 and p != position
                 and abs(p - position) <= context
@@ -495,7 +517,7 @@ class TestCarveCodeChange:
         doc = normalize_diff(parse_unified_diff(diff))
         todo = single_todo_filter(python_todos(doc))
         assert todo.text == "todo: log the message"
-        assert todo.line.kind is LineKind.REMOVED
+        assert todo.kind is LineKind.REMOVED
         cc = carve_code_change(doc, todo)
         assert "logging.info(msg)" in cc
         assert "todo" not in cc
@@ -533,15 +555,13 @@ def every_line_todos(doc, languages):
     """Reference finder: lex every line, keep the comments holding TODO."""
     found = []
     for index, line in enumerate(doc.lines):
-        old, new = doc.files[line.file_index]
+        old, new = doc.files[doc.hunk_files[bisect_right(doc.hunk_starts, index) - 1]]
         language = language_for_path(new or old)
         if language not in languages:
             continue
-        for span in iter_line_comments(line.text, language):
+        for span in iter_line_comments(line[1:], language):
             if contains_todo(span.text):
-                found.append(
-                    TodoComment(span.text, line, language, index, span.start, span.end)
-                )
+                found.append(todo_comment(doc, index, span, language))
     return found
 
 
@@ -551,13 +571,15 @@ def carve_by_relexing(doc, todo):
     kept = []
     for index, line in enumerate(doc.lines):
         if index == todo.index:
-            span = next(s for s in iter_line_comments(line.text, todo.language) if s.text == todo.text)
-            remainder = line.text[: span.start] + line.text[span.end :]
+            text = line[1:]
+            spans = iter_line_comments(text, todo.language)
+            span = next(s for s in spans if s.text == todo.text)
+            remainder = text[: span.start] + text[span.end :]
             if not remainder.strip():
                 continue
-            line = line._replace(text=remainder.rstrip())
+            line = line[0] + remainder.rstrip()
         kept.append(line)
-    return render_lines(kept)
+    return "\n".join(kept)
 
 
 class TestCarveAgainstRelexing:
@@ -581,12 +603,10 @@ class TestCarveAgainstRelexing:
     def test_same_as_carving_by_relexing(self, specs):
         """Where the first comment on the line with the TODO's text is the
         TODO itself, the finder's span carves what lexing again carves."""
-        lines = tuple(DiffLine(kind, text, file_index, 0) for kind, file_index, text in specs)
-        doc = DiffDocument(lines=lines, files=_FILES)
+        doc = doc_of(specs, _FILES)
         for todo in extract_comments_by_file(doc, tuple(Language)):
-            first = next(
-                s for s in iter_line_comments(todo.line.text, todo.language) if s.text == todo.text
-            )
+            spans = iter_line_comments(doc.lines[todo.index][1:], todo.language)
+            first = next(s for s in spans if s.text == todo.text)
             if first.start == todo.start:
                 assert carve_code_change(doc, todo) == carve_by_relexing(doc, todo)
 
@@ -612,10 +632,7 @@ class TestTodoFinder:
         {Language.PYTHON, Language.JAVA},
     )
     def test_same_todos_as_lexing_every_line(self, specs, languages):
-        lines = tuple(
-            DiffLine(kind, text, file_index, 0) for kind, file_index, text in specs
-        )
-        doc = DiffDocument(lines=lines, files=_FILES)
+        doc = doc_of(specs, _FILES)
         assert extract_comments_by_file(doc, languages) == every_line_todos(doc, languages)
 
     @settings(max_examples=300, deadline=None)
@@ -640,7 +657,9 @@ class TestTodoFinder:
 
     def test_files_outside_languages_are_not_lexed(self):
         doc = DiffDocument(
-            lines=(make_line(" ", "// todo: java", file_index=1), make_line(" ", "# todo: py")),
+            lines=(" // todo: java", " # todo: py"),
+            hunk_starts=(0, 1, 2),
+            hunk_files=(1, 0),
             files=(("a.py", "a.py"), ("B.java", "B.java")),
         )
         assert [t.language for t in extract_comments_by_file(doc, (Language.JAVA,))] == [

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, make_doc, make_sample
+from helpers import MIXED_LANGUAGE_COMMIT, PYTHON_ONLY_COMMIT, make_sample
 from staletodo.comments import Language, TodoComment
 from staletodo import corpus
 from staletodo.corpus import (
@@ -100,9 +100,7 @@ class TestLabelTriple:
 
     def test_totality_over_kinds(self):
         for kind in LineKind:
-            line = make_doc([("+", "# todo x")]).lines[0]
-            line = line.__class__(kind, line.text, 0, 0)
-            todo = TodoComment("todo x", line, Language.PYTHON, 0, 0, len(line.text))
+            todo = TodoComment("todo x", kind, Language.PYTHON, 0, 0, len("# todo x"), 0, 0)
             result = label_triple(todo, "+y = 1", "m.")
             if kind is LineKind.ADDED:
                 assert result is None

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import make_doc, unified_diff
 from staletodo.diffs import (
-    DiffDocument,
-    DiffLine,
-    LineKind,
+    _HEX_RUN_RE,
     MalformedDiff,
     normalize_diff,
     normalize_message,
     normalize_text,
     parse_unified_diff,
-    render_lines,
 )
 
 FIXTURE_DIFF = """\
@@ -65,14 +62,16 @@ def marker_count_oracle(diff_text):
 
 
 def kind_counts(doc):
-    counts = Counter(line.kind for line in doc.lines)
-    return counts[LineKind.ADDED], counts[LineKind.REMOVED], counts[LineKind.CONTEXT]
+    counts = Counter(line[0] for line in doc.lines)
+    return counts["+"], counts["-"], counts[" "]
 
 
 class TestParse:
     def test_empty_input(self):
         doc = parse_unified_diff("")
         assert doc.lines == ()
+        assert doc.hunk_starts == (0,)
+        assert doc.hunk_files == ()
         assert doc.files == ()
 
     def test_minimal_hunk_marker_mapping(self):
@@ -86,12 +85,7 @@ class TestParse:
             " z\n"
         )
         doc = parse_unified_diff(diff)
-        assert [line.kind for line in doc.lines] == [
-            LineKind.ADDED,
-            LineKind.REMOVED,
-            LineKind.CONTEXT,
-        ]
-        assert [line.text for line in doc.lines] == ["x", "y", "z"]
+        assert doc.lines == ("+x", "-y", " z")
 
     def test_fixture_counts_match_marker_oracle(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
@@ -100,26 +94,22 @@ class TestParse:
     def test_fixture_structure(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
         assert doc.files == (("src/app.py", "src/app.py"), ("lib/util.py", "lib/util.py"))
-        assert max(line.file_index for line in doc.lines) == 1
-        hunks = {(line.file_index, line.hunk_index) for line in doc.lines}
-        assert hunks == {(0, 0), (0, 1), (1, 0)}
+        assert doc.hunk_starts == (0, 7, 11, 15)
+        assert doc.hunk_files == (0, 0, 1)
 
     def test_lines_keep_document_order(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
-        keys = [(l.file_index, l.hunk_index) for l in doc.lines]
-        assert keys == sorted(keys)
         body = [
-            line[1:] for line in FIXTURE_DIFF.splitlines()
+            line for line in FIXTURE_DIFF.splitlines()
             if line[:1] in ("+", "-", " ") and not line.startswith(("+++", "---"))
         ]
-        assert [l.text for l in doc.lines] == body
+        assert list(doc.lines) == body
 
-    def test_marker_stripped_from_text(self):
+    def test_lines_keep_their_markers(self):
         doc = parse_unified_diff(FIXTURE_DIFF)
-        assert all(not line.text.startswith(("+", "-")) or line.kind for line in doc.lines)
-        texts = [line.text for line in doc.lines]
-        assert '    print("starting")' in texts
-        assert "# stale helper" in texts
+        assert '-    print("starting")' in doc.lines
+        assert '+    logging.info("starting")' in doc.lines
+        assert "-# stale helper" in doc.lines
 
     def test_malformed_hunk_body_raises_with_line_number(self):
         diff = (
@@ -144,8 +134,7 @@ class TestParse:
             " keep\n"
         )
         doc = parse_unified_diff(diff)
-        assert [line.kind for line in doc.lines] == [LineKind.REMOVED, LineKind.CONTEXT]
-        assert doc.lines[0].text == "-- separator line"
+        assert doc.lines == ("--- separator line", " keep")
 
     def test_no_newline_marker_skipped(self):
         diff = (
@@ -159,7 +148,7 @@ class TestParse:
             "\\ No newline at end of file\n"
         )
         doc = parse_unified_diff(diff)
-        assert [line.text for line in doc.lines] == ["old", "new"]
+        assert doc.lines == ("-old", "+new")
 
     def test_binary_notice_contributes_no_lines(self):
         diff = (
@@ -196,8 +185,7 @@ class TestParse:
             " d\n"
         )
         doc = parse_unified_diff(diff)
-        assert doc.lines[1].kind is LineKind.CONTEXT
-        assert doc.lines[1].text == ""
+        assert doc.lines == (" a", " ", "+b", "-c")
 
     def test_only_newline_breaks_a_line(self):
         body = ["x = 1\x0c# todo: fix", 'z = "a\rb"', "u\u2028v\x0bw\x1cx\x85y", "crlf\r"]
@@ -205,7 +193,7 @@ class TestParse:
             f" {text}\n" for text in body
         )
         doc = parse_unified_diff(diff)
-        assert [line.text for line in doc.lines] == body
+        assert doc.lines == tuple(" " + text for text in body)
 
     def test_c_quoted_paths_unquoted(self):
         quoted = '\\303\\251 q\\"\\\\.py'  # é q"\.py as git quotes it
@@ -225,48 +213,50 @@ class TestParse:
         )
         doc = parse_unified_diff(diff)
         assert doc.files == ((None, "ta\tb.py"), ('é q"\\.py', 'é q"\\.py'))
-        assert [line.file_index for line in doc.lines] == [0, 1, 1]
+        assert doc.lines == ("+x", "-y", "+z")
+        assert doc.hunk_starts == (0, 1, 3)
+        assert doc.hunk_files == (0, 1)
 
 
 class TestNormalizeDiff:
     def test_lowercases_text(self):
         doc = make_doc([(" ", "Fixed ABC")])
         norm = normalize_diff(doc)
-        assert norm.lines[0].text == "fixed abc"
+        assert norm.lines == (" fixed abc",)
 
     def test_hex_run_with_digits_replaced(self):
         doc = make_doc([(" ", "see deadbeefcafe1234 for details")])
         norm = normalize_diff(doc)
-        assert norm.lines[0].text == "see <commit_id> for details"
+        assert norm.lines == (" see <commit_id> for details",)
 
     def test_hex_word_without_digit_kept(self):
         doc = make_doc([(" ", "deedded beefface")])
         norm = normalize_diff(doc)
-        assert norm.lines[0].text == "deedded beefface"
+        assert norm.lines == (" deedded beefface",)
 
     def test_uppercase_hash_replaced_after_lowercasing(self):
         doc = make_doc([(" ", "Revert DEADBEEF1234567")])
         norm = normalize_diff(doc)
-        assert norm.lines[0].text == "revert <commit_id>"
+        assert norm.lines == (" revert <commit_id>",)
 
     def test_overlong_hex_run_kept(self):
         run = "a1" * 33  # 66 chars: longer than any git id
         doc = make_doc([(" ", run)])
-        assert normalize_diff(doc).lines[0].text == run
+        assert normalize_diff(doc).lines == (" " + run,)
 
     def test_hex_run_inside_identifier_kept(self):
         doc = make_doc([(" ", "var_deadbeef12 = 0x1234abcd")])
         norm = normalize_diff(doc)
-        assert norm.lines[0].text == "var_deadbeef12 = 0x1234abcd"
+        assert norm.lines == (" var_deadbeef12 = 0x1234abcd",)
 
     def test_six_chars_too_short_forty_ok(self):
         doc = make_doc([(" ", "abc123 " + "5" * 39 + "a")])
         norm = normalize_diff(doc)
-        assert norm.lines[0].text == "abc123 <commit_id>"
+        assert norm.lines == (" abc123 <commit_id>",)
 
     def test_sha256_id_replaced(self):
         doc = make_doc([(" ", "revert " + "5a" * 32)])
-        assert normalize_diff(doc).lines[0].text == "revert <commit_id>"
+        assert normalize_diff(doc).lines == (" revert <commit_id>",)
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -284,9 +274,43 @@ class TestNormalizeDiff:
     def test_kind_and_hunk_preserved(self):
         doc = make_doc([("+", "A"), ("-", "B"), (" ", "C")])
         norm = normalize_diff(doc)
-        assert [(l.kind, l.file_index, l.hunk_index) for l in norm.lines] == [
-            (l.kind, l.file_index, l.hunk_index) for l in doc.lines
-        ]
+        assert norm.lines == ("+a", "-b", " c")
+        assert (norm.hunk_starts, norm.hunk_files, norm.files) == (
+            doc.hunk_starts, doc.hunk_files, doc.files
+        )
+
+    def test_empty_document_unchanged(self):
+        doc = parse_unified_diff("")
+        assert normalize_diff(doc) == doc
+
+
+# Hex runs of the lengths around both bounds, with and without digits,
+# between characters that are or are not word characters: digits of other
+# scripts ("٣", "５", "𝟙" match \d), superscripts ("²", a word character
+# but no \d), letters, "_" and separators.
+_HEX_RUNS = st.sampled_from([6, 7, 64, 65]).flatmap(
+    lambda n: st.one_of(
+        st.text("0123456789abcdef", min_size=n, max_size=n),
+        st.text("abcdef", min_size=n, max_size=n),
+    )
+)
+_AROUND_HEX = st.sampled_from(["٣", "५", "５", "𝟙", "²", "_", "é", "g", "x", " ", "\n", "-", "."])
+_HEX_TEXT = st.lists(
+    st.one_of(_HEX_RUNS, _AROUND_HEX, st.text(max_size=3)), max_size=8
+).map("".join)
+
+
+class TestHexRunPattern:
+    # The pattern the current one replaced: \b on both sides of the run.
+    WORD_BOUNDARY_RE = re.compile(r"\b(?=[0-9a-f]*\d)[0-9a-f]{7,64}\b")
+
+    @settings(max_examples=500, deadline=None)
+    @given(_HEX_TEXT)
+    @example("1234567٣ a" + "1" * 64 + " " + "1" * 65 + " _abcdef1 x5" + "f" * 6 + " ²1234567")
+    @example("1abcdef " + "2" + "a" * 63 + " 3" + "b" * 64 + " abcdef4")
+    def test_same_runs_as_the_word_boundary_pattern(self, text):
+        found = [m.span() for m in _HEX_RUN_RE.finditer(text)]
+        assert found == [m.span() for m in self.WORD_BOUNDARY_RE.finditer(text)]
 
 
 class TestNormalizeMessage:
@@ -345,19 +369,15 @@ class TestNormalizeDiffOnePass:
     @given(st.lists(st.tuples(st.sampled_from("+- "), _TEXT), max_size=10))
     def test_same_as_normalizing_each_line(self, specs):
         doc = make_doc(specs)
-        assert normalize_diff(doc) == DiffDocument(
-            lines=tuple(
-                DiffLine(line.kind, normalize_text(line.text), line.file_index, line.hunk_index)
-                for line in doc.lines
-            ),
-            files=doc.files,
+        norm = normalize_diff(doc)
+        assert norm.lines == tuple(line[0] + normalize_text(line[1:]) for line in doc.lines)
+        assert (norm.hunk_starts, norm.hunk_files, norm.files) == (
+            doc.hunk_starts, doc.hunk_files, doc.files
         )
 
     def test_hex_runs_at_line_starts_and_ends(self):
         doc = make_doc([(" ", "DEADBEEF1"), ("+", "x 1234567"), ("-", "abcdef12 y")])
-        assert [line.text for line in normalize_diff(doc).lines] == [
-            "<commit_id>", "x <commit_id>", "<commit_id> y"
-        ]
+        assert normalize_diff(doc).lines == (" <commit_id>", "+x <commit_id>", "-<commit_id> y")
 
 
 class TestNormalizeMessagePlaceholders:
@@ -378,11 +398,15 @@ class TestParseRenderRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(_BODY, min_size=1, max_size=3), max_size=3))
     def test_body_lines_come_back(self, files):
-        """Every hunk body line parses to one DiffLine, and rendering the
-        lines gives the body lines back, whatever text they hold."""
+        """Every hunk body line parses to one line of the document, and
+        joining the lines gives the body lines back, whatever text they
+        hold; each hunk starts at its first line and belongs to its file."""
         text, places = unified_diff(files)
         doc = parse_unified_diff(text)
         bodies = [marker + line for hunks in files for body in hunks for marker, line in body]
-        assert render_lines(doc.lines) == "\n".join(bodies)
-        assert [(l.file_index, l.hunk_index) for l in doc.lines] == [p[:2] for p in places]
+        assert "\n".join(doc.lines) == "\n".join(bodies)
+        assert len(doc.lines) == len(bodies)
+        starts = [i for i, (_, _, position) in enumerate(places) if position == 0]
+        assert doc.hunk_starts == (*starts, len(places))
+        assert doc.hunk_files == tuple(places[i][0] for i in starts)
         assert len(doc.files) == len(files)

@@ -48,7 +48,7 @@ class TestMineRepository:
         commits = list(mine_repository(mining_repo))
         todo_commit = next(c for c in commits if "pending task" in c.message)
         doc = parse_unified_diff(todo_commit.diff_text)
-        assert any("TODO: speed this up" in line.text for line in doc.lines)
+        assert any("TODO: speed this up" in line for line in doc.lines)
 
     def test_repo_name_recorded(self, mining_repo):
         commits = list(mine_repository(mining_repo))
@@ -160,7 +160,7 @@ class TestLineBreaks:
     def test_mined_diff_keeps_lines_whole(self, tmp_path):
         (commit,) = mine_repository(self.repo(tmp_path))
         doc = parse_unified_diff(commit.diff_text)
-        assert [line.text for line in doc.lines] == self.CONTENT.split("\n")[:-1]
+        assert [line[1:] for line in doc.lines] == self.CONTENT.split("\n")[:-1]
 
     def test_run_git_keeps_lines_whole(self, tmp_path):
         assert run_git(str(self.repo(tmp_path)), ["show", "HEAD:f.py"]) == self.CONTENT

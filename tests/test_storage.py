@@ -321,6 +321,28 @@ class TestModelFileChecks:
         with pytest.raises(ModelFileError, match=r"'mlp_w0' .* 32 inputs \(dim 16 x 2 comp"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda a: a.update(mlp_w1=a["mlp_w1"][1:]),
+             r"'mlp_w1' of shape \((\d+), \d+\) .* for (?!\1)\d+ inputs \(the outputs of 'mlp_w0'\)"),
+            (lambda a: a.update(mlp_w2=a["mlp_w2"][0]), r"'mlp_w2' of shape \(\d+,\) and"),
+            (lambda a: a.update(mlp_w1=np.asarray(np.float32(0.5))), r"'mlp_w1' of shape \(\) and"),
+            (lambda a: a.update(mlp_b1=a["mlp_b1"][1:]),
+             r"'mlp_w1' of shape \(\d+, (\d+)\) and 'mlp_b1' of shape \((?!\1)\d+,\)"),
+            (lambda a: a.update(mlp_b3=a["mlp_b3"][None]), r"'mlp_b3' of shape \(1, 1\)"),
+            (lambda a: a.update(mlp_w3=np.hstack([a["mlp_w3"]] * 2), mlp_b3=np.zeros(2, "f4")),
+             "the last MLP layer has 2 outputs, not 1"),
+        ],
+        ids=["w1-rows", "w2-1-d", "w1-0-d", "b1-short", "b3-2-d", "two-outputs"],
+    )
+    def test_mlp_layer_that_does_not_follow_the_one_before_is_a_model_file_error(
+        self, trained, tmp_path, edit, named
+    ):
+        path = edited_model_file(trained[0], tmp_path, lambda meta, arrays: edit(arrays))
+        with pytest.raises(ModelFileError, match=named):
+            load_model(path)
+
     def test_meta_that_is_not_an_object_is_a_model_file_error(self, trained, tmp_path):
         path = tmp_path / "model.npz"
         save_model(trained[0], str(path))

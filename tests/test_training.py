@@ -41,7 +41,7 @@ from staletodo.model.training import (
     component_text,
     parse_mask,
 )
-from staletodo.model.vocab import PAD_INDEX, UNK_INDEX, build_vocab, tokenize_for_model
+from staletodo.model.vocab import PAD_INDEX, UNK_INDEX, build_vocab
 
 
 def accuracy(samples, model, store=None):
@@ -219,7 +219,7 @@ class TestEncodedIds:
             vocab = model.encoders[component].vocab
             for sample, row in zip(samples, ids):
                 text = component_text(sample, component)
-                full = vocab.encode(tokenize_for_model(text), MAX_LEN[component])
+                full = vocab.encode_text(text, MAX_LEN[component])
                 assert row.tolist() == full[: ids.shape[1]]
                 assert not any(full[ids.shape[1] :])
 

@@ -4,8 +4,9 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staletodo.model.vocab import (
@@ -16,6 +17,8 @@ from staletodo.model.vocab import (
     UNK_TOKEN,
     EmptyCorpus,
     build_vocab,
+    encode_corpus,
+    make_vocab,
     tokenize_for_model,
 )
 
@@ -101,18 +104,53 @@ class TestBuildVocab:
 class TestEncode:
     def test_pad_and_truncate(self):
         vocab = build_vocab(["a a b b c c"], min_freq=2)
-        ids = vocab.encode(["a", "b"], max_len=4)
+        ids = vocab.encode_text("a b", max_len=4)
         assert len(ids) == 4
         assert ids[2:] == [PAD_INDEX, PAD_INDEX]
-        long = vocab.encode(["a"] * 10, max_len=4)
+        long = vocab.encode_text("a " * 10, max_len=4)
         assert len(long) == 4
         assert all(i == vocab.index["a"] for i in long)
 
     def test_unknown_maps_to_unk(self):
         vocab = build_vocab(["a a"], min_freq=2)
-        assert vocab.encode(["zzz"], max_len=2)[0] == UNK_INDEX
+        assert vocab.encode_text("zzz", max_len=2)[0] == UNK_INDEX
 
     def test_encode_text_applies_tokenizer(self):
         vocab = build_vocab(["queue.flush() queue.flush()"], min_freq=2)
         ids = vocab.encode_text("queue.flush()", max_len=3)
         assert ids == [vocab.index["queue"], vocab.index["flush"], PAD_INDEX]
+
+
+def counting_vocab(corpus, min_freq):
+    """Reference builder: count every token in a dict, keep the frequent
+    ones in first-occurrence order."""
+    counts = {}
+    for text in corpus:
+        for token in tokenize_for_model(text):
+            counts[token] = counts.get(token, 0) + 1
+    specials = [PAD_TOKEN, UNK_TOKEN, CLS_TOKEN]
+    kept = [t for t, c in counts.items() if c >= min_freq and t not in specials]
+    return make_vocab(specials + kept)
+
+
+_PIECES = st.sampled_from(WORDS + ["<commit_id>", "+", "-", "é", "_", " ", "."])
+_TEXTS = st.lists(
+    st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=12).map(" ".join),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestEncodeCorpus:
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS, st.integers(1, 3), st.integers(1, 8))
+    @example(["...", "-"], 2, 3)
+    @example(["queue queue flush", "", "flush queue retry retry retry"], 2, 2)
+    def test_same_as_counting_then_encoding_each_text(self, corpus, min_freq, max_len):
+        vocab, ids = encode_corpus(corpus, max_len, min_freq)
+        reference = counting_vocab(corpus, min_freq)
+        assert vocab.tokens == reference.tokens
+        rows = np.array([reference.encode_text(text, max_len) for text in corpus], np.int64)
+        width = max(1, int(np.count_nonzero(rows != PAD_INDEX, axis=1).max()))
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, rows[:, :width])
