@@ -27,10 +27,18 @@ from .metrics import (
     evaluate,
     format_report_table,
     metrics,
+    ranking,
     report_record,
     status_of,
 )
-from .mining import GitUnavailable, NotARepository, mine_repository, read_commits, write_commits
+from .mining import (
+    GitFailed,
+    GitUnavailable,
+    NotARepository,
+    mine_repository,
+    read_commits,
+    write_commits,
+)
 from .model import (
     ExternalVectorStore,
     MissingExternalVector,
@@ -128,14 +136,15 @@ def _cmd_eval(args) -> int:
     reports = []
 
     if args.model:
-        statuses = [status_of(score) for score in _load_scorer(args)(test)]
-        reports.append(
-            metrics(
-                confusion(statuses, [s.label for s in test]),
-                method="classifier",
-                dataset=args.corpus,
-            )
+        scores = _load_scorer(args)(test)
+        labels = [s.label for s in test]
+        report = metrics(
+            confusion([status_of(score) for score in scores], labels),
+            method="classifier",
+            dataset=args.corpus,
         )
+        auc, average_precision = ranking(scores, labels)
+        reports.append(dataclasses.replace(report, auc=auc, average_precision=average_precision))
 
     if args.baselines:
         background = bl.background_documents(list(split.train))
@@ -273,6 +282,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except GitUnavailable as exc:
         return _fail("git_unavailable", str(exc))
+    except GitFailed as exc:
+        return _fail("git_failed", str(exc))
     except NotARepository as exc:
         return _fail("not_a_repository", str(exc))
     except SchemaViolation as exc:

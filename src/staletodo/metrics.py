@@ -1,4 +1,5 @@
-"""Confusion statistics, accuracy/precision/recall/F1, and the eval harness.
+"""Confusion statistics, accuracy/precision/recall/F1, ranking metrics
+(ROC AUC and average precision) and the eval harness.
 
 Resolved is the positive class. Ratios with an empty denominator are
 undefined and render as "n/a" instead of a misleading zero.
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .corpus import Label, TripleSample
 
@@ -54,6 +57,9 @@ class MetricReport:
     f1: Optional[float]
     method: str = ""
     dataset: str = ""
+    # Only a scorer has these: see ranking().
+    auc: Optional[float] = None
+    average_precision: Optional[float] = None
 
 
 def confusion(preds: Sequence[Status], labels: Sequence[Label]) -> Confusion:
@@ -95,6 +101,36 @@ def metrics(c: Confusion, method: str = "", dataset: str = "") -> MetricReport:
     )
 
 
+def ranking(
+    scores: Sequence[float], labels: Sequence[Label]
+) -> tuple[Optional[float], Optional[float]]:
+    """ROC AUC and average precision of scores against labels.
+
+    AUC is the share of (positive, negative) pairs that the positive wins,
+    a tie counting one half: each score takes the average rank of its ties.
+    Average precision is the mean, over the positives, of the precision
+    among all samples scoring at least that positive's score, so tied
+    samples enter together. Both are None for a one-class split, and for
+    scores that are not all finite, which have no order.
+    """
+    if len(scores) != len(labels):
+        raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
+    values = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(values)
+    ranked = values[order]
+    positive = np.array([label is Label.POSITIVE for label in labels], dtype=bool)[order]
+    n_pos = int(positive.sum())
+    if n_pos in (0, len(ranked)) or not np.isfinite(ranked).all():
+        return None, None
+    below = np.searchsorted(ranked, ranked, side="left")  # samples scoring less
+    upto = np.searchsorted(ranked, ranked, side="right")  # samples scoring at most as much
+    ranks = (below + upto + 1) / 2
+    auc = (ranks[positive].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * (len(ranked) - n_pos))
+    positives_below = np.concatenate(([0], np.cumsum(positive)))[below]
+    precision = (n_pos - positives_below) / (len(ranked) - below)
+    return float(auc), float(precision[positive].mean())
+
+
 def evaluate(
     method: Callable[[TripleSample], Status],
     test: Sequence[TripleSample],
@@ -117,7 +153,7 @@ def format_percent(value: Optional[float]) -> str:
     return f"{quantized}%"
 
 
-_COLUMNS = ("Measure", "Accuracy", "Precision", "Recall", "F1")
+_COLUMNS = ("Measure", "Accuracy", "Precision", "Recall", "F1", "AUC", "AP")
 
 
 def format_report_table(reports: Sequence[MetricReport]) -> str:
@@ -130,6 +166,8 @@ def format_report_table(reports: Sequence[MetricReport]) -> str:
                 format_percent(r.precision),
                 format_percent(r.recall),
                 format_percent(r.f1),
+                format_percent(r.auc),
+                format_percent(r.average_precision),
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(_COLUMNS))]
@@ -148,4 +186,6 @@ def report_record(report: MetricReport) -> dict:
         "precision": report.precision,
         "recall": report.recall,
         "f1": report.f1,
+        "auc": report.auc,
+        "average_precision": report.average_precision,
     }

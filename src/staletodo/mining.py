@@ -1,22 +1,24 @@
 """Commit mining via the git CLI.
 
-Consumes the textual ``git log -p --no-color --no-renames -U3`` stream and
-segments it into RawCommits. Messages are the 4-space-indented block, the
-diff is everything from the first "diff --git" to the next commit header.
-The -U option pins the diff's context lines to the
-comments.DEFAULT_CONTEXT_LINES (three) that TODO association assumes.
-Git output is read as UTF-8 with "\n" as the only line break: a "\r" or a
-form feed inside a source line is content.
+Consumes the textual ``git log -p -z --no-color --no-renames -U3`` stream
+one commit at a time: -z ends each commit with a NUL, so no line is read to
+find the next. Messages are the 4-space-indented block, the diff is all from
+the first "diff --git" on. The -U option pins the diff's context lines to
+the comments.DEFAULT_CONTEXT_LINES (three) that TODO association assumes.
+Git output is read as UTF-8 in fixed-size blocks, with "\n" as the only
+line break: a "\r" or a form feed inside a source line is content.
 """
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
-import io
 import json
 import logging
 import re
 import subprocess
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -32,7 +34,7 @@ log = logging.getLogger(__name__)
 # diff.interHunkContext, diff.algorithm, diff.indentHeuristic) changes what
 # is mined. The hunk flags are git's defaults.
 GIT_LOG_ARGS = (
-    "-c", "core.quotePath=false", "log", "-p", "--no-color", "--no-renames",
+    "-c", "core.quotePath=false", "log", "-p", "-z", "--no-color", "--no-renames",
     f"-U{DEFAULT_CONTEXT_LINES}", "--format=medium", "--no-abbrev-commit",
     "--src-prefix=a/", "--dst-prefix=b/", "--root",
     "--inter-hunk-context=0", "--diff-algorithm=myers", "--indent-heuristic",
@@ -43,6 +45,8 @@ GIT_LOG_ARGS = (
 _COMMIT_HEADER_RE = re.compile(r"^commit ([0-9a-f]{64}|[0-9a-f]{40})\b")
 # A commit record's keys, in the order they are written.
 _FIELDS = tuple(f.name for f in dataclasses.fields(RawCommit))
+# Bytes read from git log's stdout at a time.
+READ_BLOCK = 1 << 16
 
 
 class GitUnavailable(RuntimeError):
@@ -51,6 +55,10 @@ class GitUnavailable(RuntimeError):
 
 class NotARepository(ValueError):
     pass
+
+
+class GitFailed(RuntimeError):
+    """git log exited nonzero after writing its whole stream; str() is git's stderr."""
 
 
 def run_git(repo_path: str, args: list[str], ok_statuses: tuple[int, ...] = (0,)) -> str:
@@ -70,59 +78,53 @@ def check_repository(repo_path: str) -> None:
     run_git(repo_path, ["rev-parse", "--git-dir"])
 
 
-def iter_log_commits(lines: Iterable[str], repo: str = "") -> Iterator[RawCommit]:
-    """Segment a git log -p text stream into RawCommits."""
-    commit_id: Optional[str] = None
-    message_lines: list[str] = []
-    diff_lines: list[str] = []
-    in_diff = False
+def _fragments(blocks: Iterable[bytes]) -> Iterator[str]:
+    """The NUL-separated fragments of UTF-8 read in blocks, each decoded whole."""
+    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+    pending: list[str] = []
+    for block in chain(blocks, [None]):
+        *ends, rest = decoder.decode(block or b"", final=block is None).split("\0")
+        for end in ends:
+            yield "".join([*pending, end])
+            pending = []
+        pending.append(rest)
+    yield "".join(pending)
 
-    def flush() -> Optional[RawCommit]:
-        if commit_id is None:
-            return None
-        message = "\n".join(message_lines).strip("\n")
-        return RawCommit(
-            commit_id=commit_id,
-            message=message,
-            diff_text="\n".join(diff_lines) + ("\n" if diff_lines else ""),
-            repo=repo,
-        )
 
-    for raw in lines:
-        line = raw.rstrip("\n")
-        header = _COMMIT_HEADER_RE.match(line)
-        if header:
-            done = flush()
-            if done:
-                yield done
-            commit_id = header.group(1)
-            message_lines = []
-            diff_lines = []
-            in_diff = False
-            continue
-        if commit_id is None:
-            continue  # preamble before the first commit
-        if not in_diff and line.startswith("diff --git "):
-            in_diff = True
-        if in_diff:
-            diff_lines.append(line)
-        elif line.startswith("    "):
-            message_lines.append(line[4:])
-        elif not line or line.startswith(("Author:", "Date:", "Merge:", "AuthorDate:", "Commit:", "CommitDate:")):
-            if not line and message_lines:
-                message_lines.append("")
-        # anything else between header and message is metadata; skip it
+def _raw_commit(record: str, last: bool, repo: str) -> RawCommit:
+    """One commit's record of git log -p -z: header, metadata, message, diff."""
+    start = record.find("\ndiff --git ")
+    meta = record if start < 0 else record[:start]
+    # Every message line is indented, blank ones too.
+    message = "\n".join(line[4:] for line in meta.split("\n") if line[:4] == "    ")
+    # git's NUL stands in for the blank line that ends every commit but the last.
+    diff_text = "" if start < 0 else record[start + 1 :] + ("" if last else "\n")
+    return RawCommit(_COMMIT_HEADER_RE.match(record).group(1), message.strip("\n"), diff_text, repo)
 
-    done = flush()
-    if done:
-        yield done
+
+def iter_log_commits(blocks: Iterable[bytes], repo: str = "") -> Iterator[RawCommit]:
+    """Segment git log -p -z output, in blocks of any size, into RawCommits.
+
+    Git ends each commit but the last with a NUL after its final newline. A
+    NUL that does not follow a newline, or is not followed by a commit
+    header, is content: a text diff of a file holding NUL bytes.
+    """
+    parts: list[str] = []  # the NUL-separated fragments of the current commit
+    for fragment in _fragments(blocks):
+        if parts and parts[-1].endswith("\n") and _COMMIT_HEADER_RE.match(fragment):
+            yield _raw_commit("\0".join(parts), False, repo)
+            parts = []
+        if parts or _COMMIT_HEADER_RE.match(fragment):  # skip text before the first header
+            parts.append(fragment)
+    if parts:
+        yield _raw_commit("\0".join(parts), True, repo)
 
 
 def mine_repository(repo_path: str, repo_name: Optional[str] = None) -> Iterator[RawCommit]:
     """Stream every commit of a repository's history.
 
     The repository is only read, never modified. An empty history yields
-    nothing rather than failing.
+    nothing; a git log that exits nonzero raises GitFailed once read.
     """
     check_repository(repo_path)
     name = repo_name if repo_name is not None else Path(repo_path).resolve().name
@@ -134,17 +136,15 @@ def mine_repository(repo_path: str, repo_name: Optional[str] = None) -> Iterator
         )
     except FileNotFoundError as exc:
         raise GitUnavailable("git executable not found on PATH") from exc
-    lines = io.TextIOWrapper(proc.stdout, encoding="utf-8", errors="replace", newline="\n")
     try:
-        yield from iter_log_commits(lines, repo=name)
+        yield from iter_log_commits(iter(partial(proc.stdout.read, READ_BLOCK), b""), repo=name)
     finally:
-        lines.close()
+        # Closed early, git stops on the broken pipe and nothing below runs.
+        proc.stdout.close()
         stderr = proc.stderr.read().decode("utf-8", errors="replace")
         returncode = proc.wait()
     if returncode != 0 and "does not have any commits" not in stderr:
-        if "not a git repository" in stderr.lower():
-            raise NotARepository(stderr.strip())
-        log.warning("git log exited with %d: %s", returncode, stderr.strip())
+        raise GitFailed(stderr.strip())
 
 
 def write_commits(commits: Iterable[RawCommit], path: str) -> int:
@@ -177,4 +177,3 @@ def read_commit_stream(fh: TextIO) -> Iterator[RawCommit]:
             yield RawCommit(**fields)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             log.warning("skipping malformed commit record at line %d: %s", line_no, exc)
-            continue

@@ -1,13 +1,13 @@
 """Scanning a live repository for obsolete TODO comments.
 
-Every historical commit is rebuilt into a triple by the extractor that
-builds the corpus, lexing every file whose extension maps to a language,
-but only context-line TODOs qualify: a TODO that a commit resolved while
-leaving the comment untouched is the obsolete candidate. All candidates
-are scored in one call, and those scoring at least DECISION_THRESHOLD are
-then checked against HEAD, each in its own file: comments still there are
-potential obsolete findings, comments some later commit deleted are
-intermediate ones.
+Every historical commit with a context line holding "todo" is rebuilt into
+a triple by the extractor that builds the corpus, lexing every mapped
+file, but only context-line TODOs qualify: a TODO that a commit resolved
+while leaving the comment untouched is the obsolete candidate. All are
+scored in one call; those scoring at least DECISION_THRESHOLD are checked
+in their own file at HEAD, which git grep reads for those files only:
+comments still there are potential obsolete findings, comments some later
+commit deleted are intermediate ones.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .mining import mine_repository, run_git
 
 # One HEAD hit of `git grep -z -n`: "HEAD:<path>\0<line number>\0<line>\n".
 _GREP_HIT_RE = re.compile(r"HEAD:([^\0]*)\0(\d+)\0([^\n]*)\n")
-# A diff line that could be a context-line TODO.
-_CONTEXT_TODO_RE = re.compile(r"^ .*todo", re.I | re.M)
+# Bytes of paths given to one git grep, well under every platform's command line limit.
+GREP_PATH_BYTES = 1 << 14
 
 
 class FindingKind(Enum):
@@ -63,19 +63,31 @@ def normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
+def _has_context_todo(diff_text: str) -> bool:
+    """Whether a line that starts with " " holds "todo" in any case.
+
+    str.lower is the finder's test for "todo" (see comments.contains_todo),
+    and lowering adds no "\\n", the parser's only line break, and no " ".
+    """
+    text = diff_text.lower()
+    at = text.find("todo")
+    while at >= 0:
+        if text.startswith(" ", text.rfind("\n", 0, at) + 1):
+            return True
+        at = text.find("\n", at)
+        at = -1 if at < 0 else text.find("todo", at)
+    return False
+
+
 def candidate_triples(commits: Iterable) -> list[tuple[TripleSample, TodoComment, str]]:
     """Context-line TODO triples from a commit stream, with their file.
 
-    A commit with no diff line that starts with " " and holds "todo" in any
-    case is skipped unparsed: it has no context-line TODO. The parser breaks
-    lines at "\\n" only, as "^" and "." do here, a context line starts with
-    " ", and "todo" matches under re.IGNORECASE exactly where it is in
-    str.lower, the finder's test (see comments.contains_todo).
+    A commit without a context line holding "todo" is skipped unparsed.
     """
     languages = tuple(Language)
     out = []
     for commit in commits:
-        if not _CONTEXT_TODO_RE.search(commit.diff_text):
+        if not _has_context_todo(commit.diff_text):
             continue
         result = extract_triple(commit, languages, kinds=(LineKind.CONTEXT,))
         if isinstance(result, tuple):
@@ -83,18 +95,26 @@ def candidate_triples(commits: Iterable) -> list[tuple[TripleSample, TodoComment
     return out
 
 
-def _head_todo_index(repo_path: str) -> dict[tuple[str, str], int]:
-    """(file, whitespace-normalized TODO comment text) -> first line at HEAD.
+def _head_todo_index(repo_path: str, paths: Sequence[str] = ()) -> dict[tuple[str, str], int]:
+    """(file, whitespace-normalized TODO comment text) -> first line at HEAD,
+    over the given files (a directory's too), or the whole tree if none.
 
     Each line is normalized as diff lines are (diffs.normalize_text), so a
     TODO is keyed as its candidate is. Only TODO comments are indexed, and
     only lines holding "todo" in any case are read, which loses nothing:
     every text looked up is a TODO comment. Binary files are skipped.
     """
+    batches, size = [[]], 0
+    # A path that was not UTF-8 cannot be named, so then the whole tree is read.
+    for path in () if any("\ufffd" in path for path in paths) else paths:
+        size += len(path.encode())
+        if size > GREP_PATH_BYTES and batches[-1]:
+            batches.append([])
+            size = len(path.encode())
+        batches[-1].append(path)
+    args = ["--literal-pathspecs", "grep", "-z", "-n", "-I", "-i", "-e", "todo", "HEAD", "--"]
     # git grep exits with 1 when no line matches.
-    output = run_git(
-        repo_path, ["grep", "-z", "-n", "-I", "-i", "-e", "todo", "HEAD"], ok_statuses=(0, 1)
-    )
+    output = "".join(run_git(repo_path, [*args, *batch], ok_statuses=(0, 1)) for batch in batches)
     index: dict[tuple[str, str], int] = {}
     for path, line_no, line in _GREP_HIT_RE.findall(output):
         language = language_for_path(path)
@@ -132,35 +152,19 @@ def scan_repository(
     if not resolved:
         return []
 
-    head_index = _head_todo_index(repo_path)
+    head_index = _head_todo_index(repo_path, sorted({path for path, _ in resolved}))
     findings = []
     for key, (value, sample) in resolved.items():
         line_no = head_index.get(key)
-        findings.append(
-            ScanFinding(
-                file_path=key[0],
-                line_no=line_no,
-                todo_text=sample.todo_comment,
-                commit_id=sample.commit_id,
-                score=value,
-                classification=FindingKind.INTERMEDIATE_OBSOLETE
-                if line_no is None
-                else FindingKind.POTENTIAL_OBSOLETE,
-            )
-        )
+        kind = FindingKind.POTENTIAL_OBSOLETE if line_no else FindingKind.INTERMEDIATE_OBSOLETE
+        finding = ScanFinding(key[0], line_no, sample.todo_comment, sample.commit_id, value, kind)
+        findings.append(finding)
     findings.sort(key=lambda f: -f.score)
     return findings
 
 
 def finding_record(finding: ScanFinding) -> dict:
-    return {
-        "file_path": finding.file_path,
-        "line_no": finding.line_no,
-        "todo_text": finding.todo_text,
-        "commit_id": finding.commit_id,
-        "score": finding.score,
-        "classification": finding.classification.value,
-    }
+    return {**vars(finding), "classification": finding.classification.value}
 
 
 def write_findings(findings: Iterable[ScanFinding], path: str) -> int:

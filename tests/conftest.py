@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import commit_all, init_repo
+from helpers import commit_all, git, init_repo
 
 
 def write(repo, name, content):
@@ -200,3 +200,16 @@ def scan_repo(tmp_path_factory):
     )
     commit_all(repo, "tidy old comments", 4)
     return repo
+
+
+@pytest.fixture
+def broken_repo(tmp_path):
+    """Three commits resolving a TODO, whose middle blob's loose object is
+    deleted: git log -p fails on it. Returns the repository and that blob."""
+    repo = init_repo(tmp_path / "broken_repo")
+    for serial in (1, 2, 3):
+        write(repo, "a.py", f"# todo: bump x\nx = {serial}\n")
+        commit_all(repo, f"bump x to {serial}.", serial)
+    blob = git(repo, "rev-parse", "HEAD~1:a.py").strip()
+    (repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    return repo, blob

@@ -18,7 +18,7 @@ from staletodo.baselines import TfidfSpace, added_lines_text, background_documen
 from staletodo.cli import main
 from staletodo.corpus import Label, read_corpus, split_dataset, write_corpus
 from staletodo.diffs import LineKind
-from staletodo.metrics import confusion, evaluate, metrics, report_record, status_of
+from staletodo.metrics import confusion, evaluate, metrics, ranking, report_record, status_of
 from staletodo.mining import mine_repository
 from staletodo.model import ExternalVectorStore, TrainConfig, load_model, predict_scores
 from staletodo.model.network import Component
@@ -116,6 +116,27 @@ class TestTrainEval:
         assert "classifier" in methods
         assert "TCMO" in methods
         assert "TCMO (no stem)" in methods
+
+    def test_eval_ranks_the_classifier_scores_and_not_the_baselines(
+        self, synthetic_corpus_path, model_path, tmp_path
+    ):
+        samples = read_corpus(synthetic_corpus_path)
+        seed = next(
+            seed for seed in range(50)
+            if len({s.label for s in split_dataset(samples, seed=seed).test}) == 2
+        )
+        records_path = str(tmp_path / "records.jsonl")
+        argv = ["eval", "--corpus", synthetic_corpus_path, "--model", model_path,
+                "--baselines", "--seed", str(seed), "--records", records_path]
+        assert main(argv) == 0
+        rows = {r["method"]: r for r in map(json.loads, open(records_path, encoding="utf-8"))}
+        test = list(split_dataset(samples, seed=seed).test)
+        scores = predict_scores(test, load_model(model_path))
+        expected = ranking(scores, [s.label for s in test])
+        assert None not in expected
+        assert (rows["classifier"]["auc"], rows["classifier"]["average_precision"]) == expected
+        assert all(r["auc"] is None and r["average_precision"] is None
+                   for method, r in rows.items() if method != "classifier")
 
     def test_eval_irsc_sweep(self, synthetic_corpus_path, capsys):
         code = main(
@@ -236,6 +257,24 @@ class TestTrainEval:
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "schema_violation"
+
+
+class TestBrokenHistory:
+    """git log failing part way is an error record and exit 1, not a short history."""
+
+    @pytest.mark.parametrize("stage", ["mine", "scan"])
+    def test_stage_fails_with_gits_error(self, stage, broken_repo, model_path, tmp_path, capsys):
+        repo, blob = broken_repo
+        argv = {
+            "mine": ["mine", "--repo", str(repo), "--out", str(tmp_path / "commits.jsonl")],
+            "scan": ["scan", "--repo", str(repo), "--model", model_path],
+        }[stage]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "git_failed", "detail": f"fatal: unable to read {blob}"
+        }
+        assert "mined" not in out and "finding(s)" not in out
 
 
 class TestScanCommand:

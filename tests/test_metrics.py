@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_sample
 from staletodo.baselines import tcmo
@@ -18,6 +20,7 @@ from staletodo.metrics import (
     format_percent,
     format_report_table,
     metrics,
+    ranking,
     report_record,
 )
 
@@ -199,12 +202,74 @@ class TestRendering:
         report = metrics(Confusion(tp=5, tn=4, fp=1, fn=0), method="TCO")
         table = format_report_table([report])
         lines = table.splitlines()
-        assert lines[0].split() == ["Measure", "Accuracy", "Precision", "Recall", "F1"]
+        assert lines[0].split() == ["Measure", "Accuracy", "Precision", "Recall", "F1", "AUC", "AP"]
         assert lines[1].startswith("TCO")
         assert "90.0%" in lines[1]  # accuracy 9/10
 
     def test_record_round_trip_fields(self):
         report = metrics(Confusion(tp=1, tn=1, fp=1, fn=1), method="x", dataset="d")
         record = report_record(report)
-        assert set(record) == {"method", "dataset", "accuracy", "precision", "recall", "f1"}
+        assert set(record) == {
+            "method", "dataset", "accuracy", "precision", "recall", "f1", "auc", "average_precision"
+        }
+        assert record["auc"] is None and record["average_precision"] is None
         assert record["accuracy"] == 0.5
+
+
+def pair_count_auc(scores, labels):
+    """Brute force: the share of (positive, negative) pairs whose positive
+    scores higher, a tie counting one half."""
+    pos = [s for s, l in zip(scores, labels) if l is Label.POSITIVE]
+    neg = [s for s, l in zip(scores, labels) if l is Label.NEGATIVE]
+    wins = sum(Fraction(1) if p > n else Fraction(1, 2) if p == n else 0 for p in pos for n in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def direct_average_precision(scores, labels):
+    """sum over distinct thresholds, highest first, of (recall gained) * precision."""
+    n_pos = sum(l is Label.POSITIVE for l in labels)
+    total, recall_before = Fraction(0), Fraction(0)
+    for threshold in sorted(set(scores), reverse=True):
+        kept = [l for s, l in zip(scores, labels) if s >= threshold]
+        tp = sum(l is Label.POSITIVE for l in kept)
+        recall = Fraction(tp, n_pos)
+        total += (recall - recall_before) * Fraction(tp, len(kept))
+        recall_before = recall
+    return total
+
+
+class TestRanking:
+    # Few distinct scores make ties common.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 0.5000001, 0.75, 1.0]) | st.floats(0, 1),
+                st.sampled_from(list(Label)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_pair_count_and_direct_sum(self, pairs):
+        scores = [s for s, _ in pairs]
+        labels = [l for _, l in pairs]
+        auc, ap = ranking(scores, labels)
+        if len(set(labels)) < 2:
+            assert (auc, ap) == (None, None)
+            return
+        assert auc == pytest.approx(float(pair_count_auc(scores, labels)), abs=1e-12)
+        assert ap == pytest.approx(float(direct_average_precision(scores, labels)), abs=1e-12)
+
+    def test_known_values(self):
+        p, n = Label.POSITIVE, Label.NEGATIVE
+        assert ranking([0.9, 0.8, 0.7, 0.1], [p, n, p, n]) == (0.75, pytest.approx(5 / 6))
+        assert ranking([0.5, 0.5], [p, n]) == (0.5, 0.5)
+        assert ranking([0.2, 0.4], [p, p]) == (None, None)
+
+    def test_non_finite_scores_have_no_order(self):
+        assert ranking([float("nan"), 0.4], [Label.POSITIVE, Label.NEGATIVE]) == (None, None)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            ranking([0.1], [Label.POSITIVE, Label.NEGATIVE])

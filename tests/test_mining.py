@@ -4,13 +4,19 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import staletodo.mining as mining
 from helpers import commit_all, git, init_repo
 from staletodo.diffs import RawCommit, parse_unified_diff
 from staletodo.mining import (
+    GIT_LOG_ARGS,
+    GitFailed,
     NotARepository,
     iter_log_commits,
     mine_repository,
@@ -182,8 +188,7 @@ diff --git a/f.py b/f.py
 @@ -1 +1 @@
 -old
 +new
-
-commit bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb
+\0commit bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb
 Author: A <a@example.com>
 Date:   Mon Jan 1 00:00:00 2021 +0000
 
@@ -194,7 +199,7 @@ diff --git a/f.py b/f.py
 +++ b/f.py
 @@ -0,0 +1 @@
 +old
-""".splitlines(keepends=True)
+""".encode().splitlines(keepends=True)
         commits = list(iter_log_commits(stream, repo="r"))
         assert [c.commit_id for c in commits] == ["a" * 40, "b" * 40]
         assert commits[0].message == "First change. Body text\nsecond message line."
@@ -219,18 +224,18 @@ diff --git a/doc.md b/doc.md
  commit abc1234 explains this
 -x
 +y
-""".splitlines(keepends=True)
+""".encode().splitlines(keepends=True)
         commits = list(iter_log_commits(stream))
         assert len(commits) == 1
         assert "commit abc1234 explains this" in commits[0].diff_text
 
     def test_commit_without_diff(self):
         stream = [
-            "commit dddddddddddddddddddddddddddddddddddddddd\n",
-            "Author: A <a@example.com>\n",
-            "Date:   Mon Jan 1 00:00:00 2021 +0000\n",
-            "\n",
-            "    empty merge\n",
+            b"commit dddddddddddddddddddddddddddddddddddddddd\n",
+            b"Author: A <a@example.com>\n",
+            b"Date:   Mon Jan 1 00:00:00 2021 +0000\n",
+            b"\n",
+            b"    empty merge\n",
         ]
         commits = list(iter_log_commits(stream))
         assert len(commits) == 1
@@ -273,3 +278,165 @@ class TestCommitPersistence:
             "skipping malformed commit record at line 2:"
             " list indices must be integers or slices, not str",
         ]
+
+
+_HEADER_RE = re.compile(r"^commit ([0-9a-f]{64}|[0-9a-f]{40})\b")
+
+
+def reference_log_commits(lines, repo=""):
+    """The per-line segmenter of git log -p without -z, where a blank line
+    ends every commit but the last: the reference for iter_log_commits."""
+    commit_id = None
+    message_lines, diff_lines = [], []
+    in_diff = False
+
+    def flush():
+        if commit_id is None:
+            return None
+        message = "\n".join(message_lines).strip("\n")
+        diff_text = "\n".join(diff_lines) + ("\n" if diff_lines else "")
+        return RawCommit(commit_id=commit_id, message=message, diff_text=diff_text, repo=repo)
+
+    for raw in lines:
+        line = raw.rstrip("\n")
+        header = _HEADER_RE.match(line)
+        if header:
+            done = flush()
+            if done:
+                yield done
+            commit_id = header.group(1)
+            message_lines, diff_lines = [], []
+            in_diff = False
+            continue
+        if commit_id is None:
+            continue  # preamble before the first commit
+        if not in_diff and line.startswith("diff --git "):
+            in_diff = True
+        if in_diff:
+            diff_lines.append(line)
+        elif line.startswith("    "):
+            message_lines.append(line[4:])
+        elif not line and message_lines:
+            message_lines.append("")
+    done = flush()
+    if done:
+        yield done
+
+
+def reference_from_bytes(data: bytes, repo=""):
+    """Decode as io.TextIOWrapper(errors="replace", newline="\\n") did, then
+    segment line by line."""
+    text = data.decode("utf-8", errors="replace")
+    return list(reference_log_commits(re.findall(r"[^\n]*\n|[^\n]+\Z", text), repo))
+
+
+HEX = "0123456789abcdef"
+SHAS = st.one_of(st.text(HEX, min_size=40, max_size=40), st.text(HEX, min_size=64, max_size=64))
+# Pieces of line content: a "\r" and a form feed are content, multibyte
+# characters and invalid UTF-8 fall across read blocks, and text that reads
+# like a commit header or a diff header must stay where it is.
+PIECES = st.one_of(
+    st.sampled_from([
+        b"x", b" ", b"todo", b"\r", b"\x0c", "é".encode(), "€".encode(), "𝄞".encode(),
+        b"\xff", b"\xe2\x82", b"\xf0\x9d", b"diff --git a/x b/x", b"commit ",
+    ]),
+    SHAS.map(lambda sha: f"commit {sha}".encode()),
+)
+LINE = st.lists(PIECES, max_size=5).map(b"".join)
+DIFF_LINE = st.tuples(
+    st.sampled_from([b" ", b"+", b"-", b"\\ "]), st.lists(st.one_of(PIECES, st.just(b"\0")), max_size=5)
+).map(lambda t: t[0] + b"".join(t[1]))
+
+
+@st.composite
+def commit_texts(draw):
+    """One commit as git log -p writes it, without the separator after it."""
+    text = b"commit " + draw(SHAS).encode() + b"\n"
+    if draw(st.booleans()):
+        text += b"Merge: 1234567 89abcde\n"
+    text += b"Author: A <a@example.com>\nDate:   Mon Jan 1 00:00:00 2021 +0000\n"
+    message = draw(st.lists(LINE, max_size=4))  # a blank line in it is "    "
+    if message:
+        text += b"\n" + b"".join(b"    " + line + b"\n" for line in message)
+    diffs = [
+        b"diff --git a/%s b/%s\n--- a/%s\n+++ b/%s\n@@ -1,2 +1,2 @@\n" % ((name,) * 4)
+        + b"".join(line + b"\n" for line in draw(st.lists(DIFF_LINE, max_size=6)))
+        for name in draw(st.lists(st.sampled_from([b"a.py", b"b c.java"]), max_size=2))
+    ]
+    return text + (b"\n" + b"".join(diffs) if diffs else b"")
+
+
+def split_blocks(data: bytes, cuts) -> list[bytes]:
+    edges = [0, *sorted(c for c in cuts if 0 < c < len(data)), len(data)]
+    return [data[a:b] for a, b in zip(edges, edges[1:])]
+
+
+class TestRecordSegmenterOracle:
+    """git log -p -z read in blocks gives the commits that the per-line
+    reference gives for the same log without -z."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(commit_texts(), max_size=4), st.data())
+    def test_matches_per_line_reference(self, commits, data):
+        plain = b"\n".join(commits)
+        zero = b"\0".join(commits)
+        cuts = data.draw(st.lists(st.integers(0, max(len(zero), 1)), max_size=12))
+        mined = list(iter_log_commits(split_blocks(zero, cuts), repo="r"))
+        assert mined == reference_from_bytes(plain, repo="r")
+        assert len(mined) == len(commits)
+
+
+class TestGitFailure:
+    def test_broken_history_raises_gits_error(self, broken_repo):
+        repo, blob = broken_repo
+        with pytest.raises(GitFailed) as failure:
+            list(mine_repository(str(repo)))
+        assert str(failure.value) == f"fatal: unable to read {blob}"
+
+    def test_closing_early_raises_nothing(self, mining_repo, broken_repo):
+        for repo in (mining_repo, broken_repo[0]):
+            commits = mine_repository(str(repo))
+            assert next(commits).commit_id == git(repo, "rev-parse", "HEAD").strip()
+            commits.close()
+
+
+@pytest.fixture(scope="module")
+def hostile_history(tmp_path_factory):
+    """A merge, an empty commit, a commit without a message, a NUL file that
+    .gitattributes forces to text, quoted and non-ASCII paths, and content
+    that is not UTF-8 or holds "\\r" and form feeds."""
+    repo = init_repo(tmp_path_factory.mktemp("records") / "repo")
+    (repo / "a.py").write_bytes(b"x = 1  # todo: \xe9t\xe9\r\ny\x0c = 2\n")
+    (repo / "t\tab.py").write_text("# TODO: tab\n", encoding="utf-8")
+    (repo / 'é "q".py').write_text("x = 'é'  # todo: 𝄞\n", encoding="utf-8")
+    commit_all(repo, "Add files\n\nWith a body\n\n    and an indented line.", 1)
+    git(repo, "commit", "-q", "--allow-empty", "-m", "empty", date="2021-01-01T00:00:02 +0000")
+    git(repo, "checkout", "-q", "-b", "side")
+    (repo / "side.py").write_text("# todo: side\n", encoding="utf-8")
+    commit_all(repo, "side", 3)
+    git(repo, "checkout", "-q", "-")
+    (repo / "a.py").write_bytes(b"x = 2  # todo: \xe9t\xe9\r\ny\x0c = 2\n")
+    commit_all(repo, "main", 4)
+    git(repo, "merge", "-q", "--no-edit", "side", date="2021-01-01T00:00:05 +0000")
+    (repo / ".gitattributes").write_text("*.bin diff\n", encoding="utf-8")
+    (repo / "n.bin").write_bytes(b"x\0commit " + b"0" * 40 + b"\n\0\n \0y\n")
+    commit_all(repo, "Force a NUL file to text", 6)
+    git(repo, "commit", "-q", "--allow-empty", "--allow-empty-message", "-m", "",
+        date="2021-01-01T00:00:07 +0000")
+    return repo
+
+
+class TestRealHistory:
+    def test_mined_as_the_reference_reads_the_log_without_z(self, hostile_history, monkeypatch):
+        args = [arg for arg in GIT_LOG_ARGS if arg != "-z"]
+        plain = subprocess.run(
+            ["git", "-C", str(hostile_history), *args], capture_output=True, check=True
+        ).stdout
+        expected = reference_from_bytes(plain, repo="repo")
+        assert [c.commit_id for c in expected] == git(hostile_history, "rev-list", "HEAD").split()
+        nul_commit = next(c for c in expected if c.message == "Force a NUL file to text")
+        assert "+x\0commit " + "0" * 40 + "\n+\0\n+ \0y\n" in nul_commit.diff_text
+        assert {c.message for c in expected if not c.diff_text} >= {"", "empty", "Merge branch 'side'"}
+        for block in (1, 5, mining.READ_BLOCK):
+            monkeypatch.setattr(mining, "READ_BLOCK", block)
+            assert list(mine_repository(str(hostile_history))) == expected

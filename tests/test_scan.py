@@ -1,6 +1,8 @@
 """Repository scanning for obsolete TODO comments."""
 
 import json
+import os
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +20,10 @@ from staletodo.comments import Language, contains_todo, iter_line_comments
 from staletodo.corpus import extract_triple
 from staletodo.diffs import LineKind, normalize_text
 from staletodo.mining import NotARepository, mine_repository
+import staletodo.scan as scan
 from staletodo.scan import (
     FindingKind,
+    _has_context_todo,
     _head_todo_index,
     candidate_triples,
     finding_record,
@@ -160,6 +164,25 @@ class TestCandidatePreFilter:
         commits = [*mine_repository(scan_repo), added, removed, context]
         assert candidate_triples(commits) == unfiltered_candidates(commits)
         assert [s.commit_id for s, _, _ in candidate_triples([added, removed, context])] == ["e2"]
+
+
+# The pre-filter before it was a loop over str.lower.
+_CONTEXT_TODO_RE = re.compile(r"^ .*todo", re.I | re.M)
+
+
+class TestContextTodoTest:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["todo", "TODO", "tOdO", "to", "do", "t", "o", "İ", "ſ", "K", "\r", "\n", "\x0c",
+         " ", "+", "-", "\\", "x", "é"]
+    )).map("".join))
+    @example("İİ todo")
+    @example("+todo\n todo")
+    @example("-TODO\n+x todo\n x")
+    @example(" x\rTODO")
+    @example("todo\n TODO")
+    def test_matches_the_regular_expression(self, text):
+        assert _has_context_todo(text) == bool(_CONTEXT_TODO_RE.search(text))
 
 
 class TestScanRepository:
@@ -390,3 +413,82 @@ class TestFindingReport:
             "potential_obsolete",
             "intermediate_obsolete",
         }
+
+
+# Paths that pathspec magic, globbing, option parsing or C-quoting would
+# misread, a directory, and a file that is not UTF-8 (b"\xe9" is Latin-1 "é").
+INDEX_FILES = {
+    b"a:b.py": "# todo: colon\n",
+    b":top.py": "# todo: magic\n",
+    b"*.py": "# todo: star\nx = 1  # TODO: star two\n",
+    b"[x].py": "# todo: bracket\n",
+    b"x.py": "# todo: not a bracket\n",
+    b"sp ace.py": "# todo: space\n# todo: space\n",
+    b"-lead.py": "# todo: lead\n",
+    "é.py".encode(): "# todo: accent\n",
+    b't\tab "q".py': "# todo: quoted\n",
+    b"d/x.py": "# todo: in a directory\n",
+    b"d/y.java": "// todo: java\n",
+    b"\xe9.py": "# todo: latin-1 name\n",
+    b"gone.py": "# todo: deleted at head\n",
+}
+
+
+@pytest.fixture(scope="module")
+def index_repo(tmp_path_factory):
+    repo = init_repo(tmp_path_factory.mktemp("index") / "repo")
+    for name, content in INDEX_FILES.items():
+        path = os.path.join(os.fsencode(repo), name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    commit_all(repo, "add files", 1)
+    os.remove(os.path.join(os.fsencode(repo), b"gone.py"))
+    commit_all(repo, "delete gone.py", 2)
+    return repo
+
+
+# Each name as a diff header gives it once mined: not UTF-8 becomes U+FFFD.
+INDEX_PATHS = sorted(
+    {name.decode("utf-8", errors="replace") for name in INDEX_FILES} | {"d", "missing.py"}
+)
+
+
+class TestRestrictedHeadIndex:
+    """The index over some files equals the whole tree's index cut to them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(INDEX_PATHS), min_size=1, unique=True),
+           st.sampled_from([1, 12, scan.GREP_PATH_BYTES]))
+    def test_matches_the_full_index_cut_to_the_files(self, index_repo, paths, budget):
+        def cut(index):
+            return {key: line for key, line in index.items() if key[0] in paths}
+
+        full = _head_todo_index(str(index_repo))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scan, "GREP_PATH_BYTES", budget)
+            restricted = _head_todo_index(str(index_repo), paths)
+        assert cut(restricted) == cut(full)
+        assert restricted.items() <= full.items()
+
+    def test_reads_only_the_files_in_batches(self, index_repo, monkeypatch):
+        calls = []
+        run_git = scan.run_git
+        monkeypatch.setattr(scan, "run_git", lambda *a, **k: calls.append(a[1]) or run_git(*a, **k))
+        monkeypatch.setattr(scan, "GREP_PATH_BYTES", 12)
+        paths = ["*.py", "[x].py", "a:b.py", "gone.py"]
+        assert _head_todo_index(str(index_repo), paths) == {
+            ("*.py", "todo: star"): 1,
+            ("*.py", "todo: star two"): 2,
+            ("[x].py", "todo: bracket"): 1,
+            ("a:b.py", "todo: colon"): 1,
+        }
+        assert [args[args.index("--") + 1 :] for args in calls] == [
+            ["*.py", "[x].py"], ["a:b.py"], ["gone.py"]
+        ]
+
+    def test_a_name_that_is_not_utf8_reads_the_whole_tree(self, index_repo):
+        name = "\ufffd.py"
+        index = _head_todo_index(str(index_repo), [name])
+        assert index == _head_todo_index(str(index_repo))
+        assert index[(name, "todo: latin-1 name")] == 1
