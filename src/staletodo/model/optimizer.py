@@ -3,20 +3,19 @@
 A gradient is either a dense array shaped like its parameter or a
 RowGradient: the gradient of an embedding table, which is zero outside the
 few rows a batch used. Adam keeps two moments shaped like each parameter,
-in its dtype, and runs each step in that dtype.
-Each step runs BLOCK_ROWS rows at a time, in one pass per block: it decays
-the block's rows of both moments, adds the gradient rows that fall in the
-block, and updates the block's parameter rows through two block-sized
-scratch buffers, so no temporary is as large as an embedding table and a
-block stays in cache from one operation to the next. Every block runs on
-the calling thread. A RowGradient gives the same bits as dense Adam on the
-same gradient made dense.
+in its dtype, and runs each step in that dtype, as one loop over each
+parameter's blocks of BLOCK_ROWS rows on the calling thread. Per block it
+decays both moments' rows, adds the gradient rows that fall in the block,
+and updates the parameter's rows through two scratch buffers made once per
+parameter, so no temporary is as large as an embedding table and a block
+stays in cache from one operation to the next. A RowGradient gives the same
+bits as dense Adam on the same gradient made dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -85,7 +84,9 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam; updates params and state in place.
+    """Bias-corrected Adam; updates params and state in place, block by
+    block in the dense formula's order: m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g^2, then p -= lr * (m / c1) / (sqrt(v / c2) + eps).
 
     A RowGradient gives the same bits as dense Adam for two reasons. A row
     with a zero gradient gets b1*m + (1-b1)*0 == b1*m exactly, so decaying
@@ -95,66 +96,31 @@ def adam_step(
     is.
     """
     state.t += 1
-    hyper = (lr, beta1, beta2, 1.0 - beta1**state.t, 1.0 - beta2**state.t, eps)
-    blocks = [
-        block
-        for p, g, m, v in zip(params, grads, state.m, state.v)
-        for block in _blocks(p, g, m, v)
-    ]
-    # Scratch for any block, in the parameters' dtype.
-    scratch = (
-        max((p.size for p, *_ in blocks), default=0),
-        np.result_type(*params) if params else np.float64,
-    )
-    _step_blocks(blocks, hyper, scratch)
-
-
-# One block: views of p, m and v over the same rows, then the gradient's
-# rows within the block, counted from its first row (None for a dense
-# gradient), and their values.
-_Block = tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]
-
-
-def _blocks(p: np.ndarray, g: Gradient, m: np.ndarray, v: np.ndarray) -> list[_Block]:
-    starts = range(0, len(p), BLOCK_ROWS)
-    if not isinstance(g, RowGradient):
-        return [
-            (p[b], m[b], v[b], None, g[b])
-            for b in (slice(start, start + BLOCK_ROWS) for start in starts)
-        ]
-    # The gradient's rows ascend, so each block's rows are one slice of them.
-    edges = np.searchsorted(g.rows, [*starts, len(p)]).tolist()
-    blocks = []
-    for start, lo, hi in zip(starts, edges, edges[1:]):
-        b = slice(start, start + BLOCK_ROWS)
-        blocks.append((p[b], m[b], v[b], g.rows[lo:hi] - start, g.values[lo:hi]))
-    return blocks
-
-
-def _step_blocks(
-    blocks: Iterable[_Block], hyper: tuple[float, ...], scratch: tuple[int, np.dtype]
-) -> None:
-    """The whole Adam step of each block, in the dense formula's order:
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps). scratch gives the size, at
-    least any block's, and the dtype of the two scratch buffers."""
-    lr, beta1, beta2, c1, c2, eps = hyper
-    num_buf, den_buf = np.empty(*scratch), np.empty(*scratch)
-    for p, m, v, rows, g in blocks:
-        m *= beta1
-        v *= beta2
-        if rows is None:
-            m += (1.0 - beta1) * g
-            v += (1.0 - beta2) * np.square(g)
-        elif rows.size:
-            m[rows] += (1.0 - beta1) * g
-            v[rows] += (1.0 - beta2) * np.square(g)
-        num = num_buf[: p.size].reshape(p.shape)
-        den = den_buf[: p.size].reshape(p.shape)
-        np.divide(m, c1, out=num)
-        num *= lr
-        np.divide(v, c2, out=den)
-        np.sqrt(den, out=den)
-        den += eps
-        num /= den
-        p -= num
+    c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        starts = range(0, len(p), BLOCK_ROWS)
+        if isinstance(g, RowGradient):
+            # The gradient's rows ascend, so each block's rows are one slice of them.
+            edges = np.searchsorted(g.rows, [*starts, len(p)]).tolist()
+        num_buf, den_buf = np.empty_like(p[:BLOCK_ROWS]), np.empty_like(p[:BLOCK_ROWS])
+        for k, start in enumerate(starts):
+            b = slice(start, start + BLOCK_ROWS)
+            pb, mb, vb = p[b], m[b], v[b]
+            mb *= beta1
+            vb *= beta2
+            if not isinstance(g, RowGradient):
+                mb += (1.0 - beta1) * g[b]
+                vb += (1.0 - beta2) * np.square(g[b])
+            elif edges[k] < edges[k + 1]:
+                hit = slice(edges[k], edges[k + 1])
+                rows, values = g.rows[hit] - start, g.values[hit]
+                mb[rows] += (1.0 - beta1) * values
+                vb[rows] += (1.0 - beta2) * np.square(values)
+            num, den = num_buf[: len(mb)], den_buf[: len(mb)]
+            np.divide(mb, c1, out=num)
+            num *= lr
+            np.divide(vb, c2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            num /= den
+            pb -= num

@@ -6,6 +6,9 @@ bit-identical across runs. Every validate_every batches the validation F1
 is computed and the best-scoring parameters (earliest on ties) are the
 ones returned.
 
+Training ids come from vocab.encode_corpus, in the pass that builds each
+vocabulary; those of validation, eval and scan from Vocab.encode.
+
 ModelParams.arrays names every parameter once, for the model file, the
 checkpoint and Adam. TrainConfig's fields are exactly the `train` options.
 
@@ -42,7 +45,7 @@ from .network import (
 from .optimizer import AdamState, adam_step, clip_gradients
 from .storage import EXTERNAL_DIM, ExternalVectorStore
 # build_vocab is not called here: bench/tracing.py patches this name.
-from .vocab import PAD_INDEX, Vocab, build_vocab, encode_corpus
+from .vocab import Vocab, build_vocab, encode_corpus
 
 INTERNAL = "internal"
 EXTERNAL = "external"
@@ -173,21 +176,15 @@ def _encode_samples(
     """Precompute per-component model inputs: id matrices, each in its own
     encoder's vocabulary, or fixed vectors in the model's dtype.
 
-    An id matrix is as wide as the longest text it encodes, at least 1 and
-    at most the encoder's MAX_LEN, so no column is PAD in every row. No
-    token maps to PAD, so the PAD ids of a row all follow its tokens.
+    An id matrix is Vocab.encode's with the encoder's MAX_LEN: as wide as
+    the longest text it encodes, at least 1 column, each row's PAD ids after
+    its tokens.
     """
     encoded: dict[Component, np.ndarray] = {}
     for component in model.config.active_components():
         if component in model.encoders:
-            vocab = model.encoders[component].vocab
-            max_len = MAX_LEN[component]
-            ids = np.array(
-                [vocab.encode_text(component_text(s, component), max_len) for s in samples],
-                dtype=np.int64,
-            )
-            width = max(1, int(np.count_nonzero(ids != PAD_INDEX, axis=1).max()))
-            encoded[component] = ids[:, :width].copy()
+            texts = [component_text(s, component) for s in samples]
+            encoded[component] = model.encoders[component].vocab.encode(texts, MAX_LEN[component])
         else:
             encoded[component] = np.stack(
                 [store.lookup(component_text(s, component)) for s in samples]

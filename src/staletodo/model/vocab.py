@@ -1,4 +1,6 @@
-"""Token vocabulary for the trainable encoder backend."""
+"""Token vocabulary for the trainable encoder backend. Texts become id
+matrices through _id_matrix only: encode_corpus for the texts a vocabulary
+is built from, in the same pass, and Vocab.encode for any other texts."""
 
 from __future__ import annotations
 
@@ -40,11 +42,16 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def encode_text(self, text: str, max_len: int) -> list[int]:
-        """Map text's tokens to ids, truncating the tail and padding to max_len."""
-        ids = [self.index.get(t, UNK_INDEX) for t in tokenize_for_model(text)[:max_len]]
-        ids.extend([PAD_INDEX] * (max_len - len(ids)))
-        return ids
+    def encode(self, texts: Sequence[str], max_len: int) -> np.ndarray:
+        """Ids of each text's first max_len tokens, unknown ones as UNK, one
+        row per text, padded with PAD: see _id_matrix for the width."""
+        flat = array("q")
+        lengths = np.empty(len(texts), np.int64)
+        for i, text in enumerate(texts):
+            tokens = tokenize_for_model(text)[:max_len]
+            flat.extend([self.index.get(t, UNK_INDEX) for t in tokens])
+            lengths[i] = len(tokens)
+        return _id_matrix(np.frombuffer(flat, np.int64), lengths, max_len)
 
 
 def make_vocab(tokens: Sequence[str]) -> Vocab:
@@ -69,9 +76,7 @@ def encode_corpus(
     """build_vocab(corpus, min_freq) and the texts' ids in it, from one
     tokenize_for_model pass.
 
-    Row i is vocab.encode_text(corpus[i], max_len) cut to the width of the
-    longest text, at least 1 column: no token maps to PAD, so a dropped
-    column is PAD in every row.
+    The ids are vocab.encode(corpus, max_len).
     """
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
@@ -89,10 +94,16 @@ def encode_corpus(
     vocab = make_vocab([*_SPECIALS, *(t for t, k in zip(provisional, kept) if k)])
     remap = np.full(len(provisional), UNK_INDEX, np.int64)
     remap[kept] = np.arange(len(_SPECIALS), len(vocab))
-    # Row i takes its first width ids from flat, starting at starts[i].
-    width = max(1, min(max_len, int(lengths.max())))
+    return vocab, _id_matrix(remap[ids], lengths, max_len)
+
+
+def _id_matrix(ids: np.ndarray, lengths: np.ndarray, max_len: int) -> np.ndarray:
+    """Row i holds the first max_len of the lengths[i] ids that follow the
+    earlier rows' in ids, then PAD, in a matrix as wide as the longest row
+    and 1 to max_len columns: no token maps to PAD, so the PAD ids follow."""
+    width = max(1, min(max_len, int(lengths.max(initial=0))))
     used = np.arange(width) < lengths[:, None]
     starts = np.cumsum(lengths) - lengths
-    matrix = np.full((len(corpus), width), PAD_INDEX, np.int64)
-    matrix[used] = remap[ids[(starts[:, None] + np.arange(width))[used]]]
-    return vocab, matrix
+    matrix = np.full((len(lengths), width), PAD_INDEX, np.int64)
+    matrix[used] = ids[(starts[:, None] + np.arange(width))[used]]
+    return matrix

@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from .comments import (
-    EXTENSION_LANGUAGES,  # re-exported
     Language,
     TodoComment,
     associate,  # not called here: bench/tracing.py patches this name

@@ -20,7 +20,8 @@ from staletodo.model.network import (
     mlp_backward,
 )
 from staletodo.model.optimizer import RowGradient
-from staletodo.model.vocab import PAD_INDEX
+from staletodo.model.vocab import PAD_INDEX, UNK_INDEX, Vocab, tokenize_for_model
+
 
 def make_doc(specs, files=(("a.py", "a.py"),)):
     """One-file one-hunk document from [(marker_char, text), ...]."""
@@ -241,6 +242,21 @@ def to_dense(grad: RowGradient) -> np.ndarray:
     dense = np.zeros((grad.num_rows, grad.values.shape[1]), grad.values.dtype)
     dense[grad.rows] = grad.values
     return dense
+
+
+def padded_ids(vocab: Vocab, text: str, max_len: int) -> list[int]:
+    """Reference per-text rule: text's first max_len tokens as ids, unknown
+    ones as UNK, padded with PAD to max_len."""
+    ids = [vocab.index.get(t, UNK_INDEX) for t in tokenize_for_model(text)[:max_len]]
+    return ids + [PAD_INDEX] * (max_len - len(ids))
+
+
+def padded_matrix(vocab: Vocab, texts, max_len: int) -> np.ndarray:
+    """Reference for Vocab.encode: padded_ids of each text, stacked, cut to
+    the widest row's tokens, at least 1 column."""
+    rows = np.array([padded_ids(vocab, text, max_len) for text in texts], np.int64)
+    width = max(1, int(np.count_nonzero(rows != PAD_INDEX, axis=1).max()))
+    return rows[:, :width]
 
 
 def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:

@@ -276,6 +276,16 @@ class TestBrokenHistory:
         }
         assert "mined" not in out and "finding(s)" not in out
 
+    @pytest.mark.parametrize("before", [None, "{}\n"], ids=["no-file", "file"])
+    def test_failed_mine_leaves_out_as_it_was(self, before, broken_repo, tmp_path):
+        repo, _ = broken_repo
+        out = tmp_path / "commits.jsonl"
+        if before is not None:
+            out.write_text(before, encoding="utf-8")
+        assert main(["mine", "--repo", str(repo), "--out", str(out)]) == 1
+        assert (out.read_text(encoding="utf-8") if out.exists() else None) == before
+        assert not (tmp_path / "commits.jsonl.tmp").exists()
+
 
 class TestScanCommand:
     def test_scan_reports_findings(self, scan_repo, model_path, tmp_path, capsys):

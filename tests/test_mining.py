@@ -250,6 +250,11 @@ class TestCommitPersistence:
         assert write_commits(commits, path) == 5
         assert list(read_commits(path)) == commits
 
+    def test_out_that_is_not_a_regular_file_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="not a regular file"):
+            write_commits(iter([]), str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_record_skipped(self, mining_repo, tmp_path, caplog):
         commits = list(mine_repository(mining_repo))
         path = tmp_path / "commits.jsonl"

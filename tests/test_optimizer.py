@@ -79,21 +79,26 @@ class TestRowGradients:
             assert global_norm(out) <= 2.0 + 1e-9
 
     @pytest.mark.parametrize(
-        "vocab, dim, untouched, boundary, dtype",
+        "vocab, dim, untouched, boundary, dtype, dense_rows",
         [
-            (40, 6, 30, (), np.float64),
-            (2600, 6, 2200, (1023, 1024, 2047, 2048), np.float64),
-            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), np.float64),
-            (40, 6, 30, (), np.float32),
-            (2600, 6, 2200, (1023, 1024, 2047, 2048), np.float32),
-            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), np.float32),
+            (40, 6, 30, (), np.float64, None),
+            (2600, 6, 2200, (1023, 1024, 2047, 2048), np.float64, None),
+            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), np.float64, None),
+            (40, 6, 30, (), np.float32, None),
+            (2600, 6, 2200, (1023, 1024, 2047, 2048), np.float32, None),
+            (8400, 128, 8000, (1023, 1024, 4095, 4096, 7167, 7168), np.float32, None),
+            (40, 6, 30, (), np.float64, 2600),
+            (40, 6, 30, (), np.float32, 2600),
         ],
         ids=[
             "one-block", "three-blocks", "nine-blocks",
             "one-block-float32", "three-blocks-float32", "nine-blocks-float32",
+            "dense-three-blocks", "dense-three-blocks-float32",
         ],
     )
-    def test_adam_matches_dense_adam_bit_for_bit(self, vocab, dim, untouched, boundary, dtype):
+    def test_adam_matches_dense_adam_bit_for_bit(
+        self, vocab, dim, untouched, boundary, dtype, dense_rows
+    ):
         # Row 1 is touched only in the first step and then only decays; rows
         # `untouched` and up are never touched; ids repeat within every batch.
         # The 2,600-row table spans two full update blocks and a partial one,
@@ -101,11 +106,14 @@ class TestRowGradients:
         # The 8,400 x 128 table spans eight full blocks and a partial one, and
         # its blocks are as wide as the benchmark's dim-128 tables. In float32
         # the reference runs every operation in float32, so scratch buffers or
-        # moments of another dtype would change bits.
+        # moments of another dtype would change bits. With dense_rows, the
+        # dense weight has that many rows and the dense bias that many
+        # entries, so dense gradients too span two full blocks and a partial
+        # one.
         rng = np.random.default_rng(17)
         table = rng.uniform(-0.05, 0.05, size=(vocab, dim)).astype(dtype)
-        weight = rng.normal(size=(dim, 3)).astype(dtype)
-        bias = rng.normal(size=3).astype(dtype)
+        weight = rng.normal(size=(dense_rows or dim, 3)).astype(dtype)
+        bias = rng.normal(size=dense_rows or 3).astype(dtype)
         sparse = [weight.copy(), bias.copy(), table.copy()]
         dense = [weight.copy(), bias.copy(), table.copy()]
         sparse_state = AdamState.for_params(sparse)

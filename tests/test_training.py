@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     make_sample,
     make_separable_corpus,
+    padded_ids,
     planted_vectors,
     random_sample,
     read_meta,
@@ -219,7 +220,7 @@ class TestEncodedIds:
             vocab = model.encoders[component].vocab
             for sample, row in zip(samples, ids):
                 text = component_text(sample, component)
-                full = vocab.encode_text(text, MAX_LEN[component])
+                full = padded_ids(vocab, text, MAX_LEN[component])
                 assert row.tolist() == full[: ids.shape[1]]
                 assert not any(full[ids.shape[1] :])
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import padded_ids, padded_matrix
 from staletodo.model.vocab import (
     CLS_TOKEN,
     PAD_INDEX,
@@ -23,6 +24,12 @@ from staletodo.model.vocab import (
 )
 
 WORDS = ["queue", "flush", "retry", "socket", "alpha", "omega", "delta", "pivot"]
+_WORDS_AND_NON_ASCII = WORDS + ["café", "naïve", "修复这个问题", "überprüfen", "<commit_id>", "+"]
+# Texts of up to 12 words, known or not, ASCII or not.
+_MIXED_TEXT = st.lists(
+    st.one_of(st.sampled_from(_WORDS_AND_NON_ASCII + ["später", "_", "."]), st.text(max_size=3)),
+    max_size=12,
+).map(" ".join)
 
 
 class TestTokenizer:
@@ -104,21 +111,39 @@ class TestBuildVocab:
 class TestEncode:
     def test_pad_and_truncate(self):
         vocab = build_vocab(["a a b b c c"], min_freq=2)
-        ids = vocab.encode_text("a b", max_len=4)
+        ids = vocab.encode(["a b", "a b c c"], max_len=4)[0].tolist()
         assert len(ids) == 4
         assert ids[2:] == [PAD_INDEX, PAD_INDEX]
-        long = vocab.encode_text("a " * 10, max_len=4)
+        long = vocab.encode(["a " * 10], max_len=4)[0].tolist()
         assert len(long) == 4
         assert all(i == vocab.index["a"] for i in long)
 
     def test_unknown_maps_to_unk(self):
         vocab = build_vocab(["a a"], min_freq=2)
-        assert vocab.encode_text("zzz", max_len=2)[0] == UNK_INDEX
+        assert vocab.encode(["zzz"], max_len=2)[0][0] == UNK_INDEX
 
-    def test_encode_text_applies_tokenizer(self):
+    def test_encode_applies_tokenizer(self):
         vocab = build_vocab(["queue.flush() queue.flush()"], min_freq=2)
-        ids = vocab.encode_text("queue.flush()", max_len=3)
+        ids = padded_ids(vocab, "queue.flush()", max_len=3)
         assert ids == [vocab.index["queue"], vocab.index["flush"], PAD_INDEX]
+        assert vocab.encode(["queue.flush()"], max_len=3).tolist() == [ids[:2]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_WORDS_AND_NON_ASCII), unique=True),
+        st.lists(
+            st.one_of(st.just(""), st.text(max_size=4), _MIXED_TEXT), min_size=1, max_size=8
+        ),
+        st.integers(1, 8),
+    )
+    @example([], ["", ""], 3)  # every text is empty
+    @example(["queue"], ["queue " * 20, "", "zzz"], 4)  # longer than max_len
+    @example(["café", "修复这个问题"], ["café 修复这个问题 naïve", "überprüfen"], 2)
+    def test_same_as_the_per_text_rule(self, words, texts, max_len):
+        vocab = make_vocab(words)
+        ids = vocab.encode(texts, max_len)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, padded_matrix(vocab, texts, max_len))
 
 
 def counting_vocab(corpus, min_freq):
@@ -150,7 +175,6 @@ class TestEncodeCorpus:
         vocab, ids = encode_corpus(corpus, max_len, min_freq)
         reference = counting_vocab(corpus, min_freq)
         assert vocab.tokens == reference.tokens
-        rows = np.array([reference.encode_text(text, max_len) for text in corpus], np.int64)
-        width = max(1, int(np.count_nonzero(rows != PAD_INDEX, axis=1).max()))
         assert ids.dtype == np.int64
-        assert np.array_equal(ids, rows[:, :width])
+        assert np.array_equal(ids, padded_matrix(reference, corpus, max_len))
+        assert np.array_equal(ids, vocab.encode(corpus, max_len))
