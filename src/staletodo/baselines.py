@@ -2,18 +2,21 @@
 
 TCO declares a TODO resolved when it shares a word with the code change,
 TMO when it shares a word with the commit message, TCMO when either fires.
-IRSC scores TF-IDF cosine similarity between the TODO comment and the
-added lines against a threshold.
+IRSC scores the TF-IDF cosine similarity between the TODO comment and the
+lines the sample's code change adds, in a TfidfSpace the caller builds,
+and decides through metrics.status_of with its own threshold.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import TripleSample
-from .metrics import Status
+from .metrics import Status, status_of
+
+IRSC_THRESHOLD = 0.3  # eval's default, and the sweep's when no threshold has an F1
 
 # Fixed stopword list; determinism is pinned by a checksum test.
 STOPWORDS = (
@@ -57,20 +60,20 @@ def overlap_tokens(text: str, use_stemming: bool = True) -> frozenset[str]:
     return frozenset(tokenize(text, use_stemming))
 
 
+def _word_overlap(todo: str, other: str, use_stemming: bool) -> Status:
+    """Resolved iff the TODO and the other text share a word."""
+    shared = overlap_tokens(todo, use_stemming) & overlap_tokens(other, use_stemming)
+    return Status.RESOLVED if shared else Status.UNRESOLVED
+
+
 def tco(sample: TripleSample, use_stemming: bool = True) -> Status:
     """Resolved iff the TODO and the code change share a word."""
-    shared = overlap_tokens(sample.todo_comment, use_stemming) & overlap_tokens(
-        sample.code_change, use_stemming
-    )
-    return Status.RESOLVED if shared else Status.UNRESOLVED
+    return _word_overlap(sample.todo_comment, sample.code_change, use_stemming)
 
 
 def tmo(sample: TripleSample, use_stemming: bool = True) -> Status:
     """Resolved iff the TODO and the commit message share a word."""
-    shared = overlap_tokens(sample.todo_comment, use_stemming) & overlap_tokens(
-        sample.commit_msg, use_stemming
-    )
-    return Status.RESOLVED if shared else Status.UNRESOLVED
+    return _word_overlap(sample.todo_comment, sample.commit_msg, use_stemming)
 
 
 def tcmo(sample: TripleSample, use_stemming: bool = True) -> Status:
@@ -131,26 +134,16 @@ def cosine(a: dict[str, float], b: dict[str, float]) -> float:
     return dot / (norm_a * norm_b)
 
 
-def irsc(
-    sample: TripleSample,
-    lines_added: str,
-    threshold: float = 0.3,
-    space: Optional[TfidfSpace] = None,
-) -> Status:
-    """Resolved iff TF-IDF cosine(comment, added lines) reaches threshold."""
-    if irsc_similarity(sample, lines_added, space) >= threshold:
-        return Status.RESOLVED
-    return Status.UNRESOLVED
+def irsc(sample: TripleSample, space: TfidfSpace, threshold: float) -> Status:
+    """Resolved iff the TF-IDF cosine of the comment and the added lines
+    reaches threshold."""
+    return status_of(irsc_similarity(sample, space), threshold)
 
 
-def irsc_similarity(
-    sample: TripleSample, lines_added: str, space: Optional[TfidfSpace] = None
-) -> float:
-    """TF-IDF cosine of the TODO comment and the added lines."""
-    if space is None:
-        space = TfidfSpace()
-    vec_comment, vec_added = space.pair_vectors(sample.todo_comment, lines_added)
-    return cosine(vec_comment, vec_added)
+def irsc_similarity(sample: TripleSample, space: TfidfSpace) -> float:
+    """TF-IDF cosine of the TODO comment and the code change's added lines."""
+    added = added_lines_text(sample.code_change)
+    return cosine(*space.pair_vectors(sample.todo_comment, added))
 
 
 def background_documents(samples: Sequence[TripleSample]) -> list[str]:

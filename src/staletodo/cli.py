@@ -21,16 +21,7 @@ from .corpus import (
     split_dataset,
     write_corpus,
 )
-from .metrics import (
-    Status,
-    confusion,
-    evaluate,
-    format_report_table,
-    metrics,
-    ranking,
-    report_record,
-    status_of,
-)
+from .metrics import evaluate, format_report_table, ranking, report_record, status_of
 from .mining import (
     GitFailed,
     GitUnavailable,
@@ -45,7 +36,7 @@ from .model import (
     TrainConfig,
     load_model,
     parse_mask,
-    predict,  # not called here: bench/tracing.py patches this name
+    predict,  # only for bench/tracing.py to patch
     predict_scores,
     save_model,
     train,
@@ -133,45 +124,29 @@ def _cmd_eval(args) -> int:
     samples = read_corpus(args.corpus)
     split = split_dataset(samples, seed=args.seed)
     test = list(split.test)
+    labels = [s.label for s in test]
     reports = []
 
     if args.model:
         scores = _load_scorer(args)(test)
-        labels = [s.label for s in test]
-        report = metrics(
-            confusion([status_of(score) for score in scores], labels),
-            method="classifier",
-            dataset=args.corpus,
-        )
+        report = evaluate([status_of(s) for s in scores], labels, "classifier", args.corpus)
         auc, average_precision = ranking(scores, labels)
         reports.append(dataclasses.replace(report, auc=auc, average_precision=average_precision))
 
     if args.baselines:
-        background = bl.background_documents(list(split.train))
-        space = bl.TfidfSpace(background)
+        space = bl.TfidfSpace(bl.background_documents(list(split.train)))
+        # Through the module, so that bench/tracing.py's patches of tcmo and irsc apply.
         for name, fn in (("TCO", bl.tco), ("TMO", bl.tmo), ("TCMO", bl.tcmo)):
-            reports.append(evaluate(fn, test, method_name=name, dataset=args.corpus))
-            reports.append(
-                evaluate(
-                    lambda s, f=fn: f(s, use_stemming=False),
-                    test,
-                    method_name=f"{name} (no stem)",
-                    dataset=args.corpus,
-                )
-            )
+            for suffix, stemming in (("", True), (" (no stem)", False)):
+                preds = [fn(s, stemming) for s in test]
+                reports.append(evaluate(preds, labels, name + suffix, args.corpus))
         if args.irsc_sweep:
             threshold = _sweep_irsc(list(split.val), space)
             print(f"IRSC threshold swept on validation split: {threshold}")
         else:
             threshold = args.irsc_threshold
-        reports.append(
-            evaluate(
-                lambda s: bl.irsc(s, bl.added_lines_text(s.code_change), threshold, space),
-                test,
-                method_name=f"IRSC@{threshold}",
-                dataset=args.corpus,
-            )
-        )
+        preds = [bl.irsc(s, space, threshold) for s in test]
+        reports.append(evaluate(preds, labels, f"IRSC@{threshold}", args.corpus))
 
     if not reports:
         raise ValueError("nothing to evaluate: pass --model and/or --baselines")
@@ -186,14 +161,14 @@ def _cmd_eval(args) -> int:
 
 def _sweep_irsc(val, space) -> float:
     """The threshold in 0.05, 0.10, ..., 0.95 with the best validation F1,
-    the lowest on ties; each sample's similarity is computed once."""
-    similarities = [bl.irsc_similarity(s, bl.added_lines_text(s.code_change), space) for s in val]
+    the lowest on ties, or IRSC_THRESHOLD when no F1 is defined; each
+    sample's similarity is computed once."""
+    similarities = [bl.irsc_similarity(s, space) for s in val]
     labels = [s.label for s in val]
-    best_threshold, best_f1 = 0.3, -1.0
+    best_threshold, best_f1 = bl.IRSC_THRESHOLD, -1.0
     for i in range(1, 20):
         threshold = i / 20
-        statuses = [Status.RESOLVED if x >= threshold else Status.UNRESOLVED for x in similarities]
-        f1 = metrics(confusion(statuses, labels)).f1
+        f1 = evaluate([status_of(x, threshold) for x in similarities], labels).f1
         f1 = -1.0 if f1 is None else f1
         if f1 > best_f1:
             best_threshold, best_f1 = threshold, f1
@@ -259,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", default=None)
     p.add_argument("--baselines", action="store_true")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--irsc-threshold", type=float, default=0.3)
+    group.add_argument("--irsc-threshold", type=float, default=bl.IRSC_THRESHOLD)
     group.add_argument("--irsc-sweep", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--records", default=None)

@@ -22,7 +22,7 @@ from .comments import (
     TodoComment,
     associate,
     carve_code_change,
-    extract_comments,  # not called here: bench/tracing.py patches this name
+    extract_comments,  # only for bench/tracing.py to patch
     extract_comments_by_file,
     single_todo_filter,
 )

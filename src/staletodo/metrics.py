@@ -1,8 +1,11 @@
-"""Confusion statistics, accuracy/precision/recall/F1, ranking metrics
-(ROC AUC and average precision) and the eval harness.
+"""The decision rule, confusion statistics, accuracy/precision/recall/F1,
+ranking metrics (ROC AUC and average precision) and the report table.
 
-Resolved is the positive class. Ratios with an empty denominator are
-undefined and render as "n/a" instead of a misleading zero.
+status_of is the one place where a score becomes a Status: training's
+validation, eval, the IRSC baseline and scan all decide through it. evaluate
+is the one place where statuses become a MetricReport. Resolved is the
+positive class. Ratios with an empty denominator are undefined and render
+as "n/a" instead of a misleading zero.
 """
 
 from __future__ import annotations
@@ -10,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Label, TripleSample
+from .corpus import Label
 
 
 DECISION_THRESHOLD = 0.5  # a classifier score at or above it marks its TODO resolved
@@ -25,8 +28,9 @@ class Status(Enum):
     UNRESOLVED = "unresolved"
 
 
-def status_of(score: float) -> Status:
-    return Status.RESOLVED if score >= DECISION_THRESHOLD else Status.UNRESOLVED
+def status_of(score: float, threshold: float = DECISION_THRESHOLD) -> Status:
+    """Resolved iff score reaches threshold; a NaN score reaches none."""
+    return Status.RESOLVED if score >= threshold else Status.UNRESOLVED
 
 
 class LengthMismatch(ValueError):
@@ -132,16 +136,9 @@ def ranking(
 
 
 def evaluate(
-    method: Callable[[TripleSample], Status],
-    test: Sequence[TripleSample],
-    method_name: str = "",
-    dataset: str = "",
+    preds: Sequence[Status], labels: Sequence[Label], method_name: str = "", dataset: str = ""
 ) -> MetricReport:
-    """Run a predictor over the test set and compute its metrics."""
-    if not test:
-        raise EmptyEvaluation("empty test set")
-    preds = [method(sample) for sample in test]
-    labels = [sample.label for sample in test]
+    """The report of predicted statuses against labels, one pair per sample."""
     return metrics(confusion(preds, labels), method=method_name, dataset=dataset)
 
 

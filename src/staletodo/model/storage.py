@@ -12,16 +12,17 @@ The header, the "meta" entry, is a 0-d bytes array of compact UTF-8 JSON:
 one byte per ASCII character. Files written before hold it as a 0-d numpy
 string, four bytes per character, and load the same way. A header that is
 neither, is not UTF-8 or is not JSON, a missing entry, a meta entry of the
-wrong type, a config field TrainConfig refuses, an array of another dtype,
-an array nothing reads, a table whose width disagrees with the config's dim,
-or an MLP layer that does not take the outputs of the one before it (the
-first: dim times the components) or a last layer without exactly one output
-raises ModelFileError.
+wrong type, a config field TrainConfig refuses, an array of another dtype
+or holding a non-finite value, an array nothing reads, a table whose width
+disagrees with the config's dim, or an MLP layer that does not take the
+outputs of the one before it (the first: dim times the components) or a
+last layer without exactly one output raises ModelFileError.
 
 External vectors live in a newline-delimited text file, one record per
 line: a lowercase sha256 hex digest of the exact normalized text, then 768
-space-separated decimal reals. Values are written with repr, so float64
-round-trips exactly.
+space-separated finite decimal reals. Values are written with repr, so
+float64 round-trips exactly. Reading refuses a digest that is not 64 hex
+characters and a value that is not finite (nan, inf) with VectorFileError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -36,6 +38,7 @@ import numpy as np
 FORMAT_VERSION = 3
 EXTERNAL_DIM = 768
 PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
 class MissingExternalVector(KeyError):
@@ -91,10 +94,16 @@ class ExternalVectorStore:
                         f"expected hash + {EXTERNAL_DIM} values, got {len(fields)} fields",
                     )
                 digest = fields[0].lower()
+                if not _DIGEST_RE.fullmatch(digest):
+                    raise VectorFileError(line_no, f"hash {fields[0]!r} is not 64 hex characters")
                 try:
                     values = np.array([float(v) for v in fields[1:]])
                 except ValueError as exc:
                     raise VectorFileError(line_no, f"bad value: {exc}") from exc
+                bad = np.flatnonzero(~np.isfinite(values)) + 1
+                if bad.size:
+                    reason = f"value {bad[0]} is {fields[bad[0]]!r}, not finite"
+                    raise VectorFileError(line_no, reason)
                 vectors[digest] = values
         return cls(vectors)
 
@@ -107,6 +116,8 @@ def write_external_vectors(path: str, records: Iterable[tuple[str, np.ndarray]])
             vector = np.asarray(vector, dtype=float)
             if vector.shape != (EXTERNAL_DIM,):
                 raise ValueError(f"vector must have shape ({EXTERNAL_DIM},), got {vector.shape}")
+            if not np.isfinite(vector).all():
+                raise ValueError(f"vector for text hash {text_hash(text)} is not finite")
             fh.write(text_hash(text) + " " + " ".join(repr(float(v)) for v in vector) + "\n")
             count += 1
     return count
@@ -215,6 +226,8 @@ def load_model(path: str):
                 raise ModelFileError(
                     f"array {name!r} is {arrays[name].dtype}, not float32 or float64"
                 )
+            if not np.isfinite(arrays[name]).all():
+                raise ModelFileError(f"array {name!r} holds a non-finite value")
     try:
         model = ModelParams.from_arrays(arrays, vocabs, config)
     except KeyError as exc:

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..corpus import DatasetSplit, Label, TripleSample
-from ..metrics import Status, confusion, metrics, status_of
+from ..metrics import Status, evaluate, status_of
 from .network import (
     COMPONENT_ORDER,
     Component,
@@ -44,8 +44,7 @@ from .network import (
 )
 from .optimizer import AdamState, adam_step, clip_gradients
 from .storage import EXTERNAL_DIM, ExternalVectorStore
-# build_vocab is not called here: bench/tracing.py patches this name.
-from .vocab import Vocab, build_vocab, encode_corpus
+from .vocab import Vocab, build_vocab, encode_corpus  # build_vocab: only for bench/tracing.py
 
 INTERNAL = "internal"
 EXTERNAL = "external"
@@ -288,7 +287,7 @@ def train(
         itself when no step follows."""
         nonlocal best_f1, best, running_loss, running_batches
         scores = _scores(len(split.val), val_encoded, model)
-        f1 = metrics(confusion([status_of(s) for s in scores], val_labels)).f1
+        f1 = evaluate([status_of(s) for s in scores], val_labels).f1
         avg_loss = running_loss / running_batches if running_batches else float("nan")
         history.validations.append(
             ValidationPoint(batch=batches_done, epoch=epoch, train_loss=avg_loss, val_f1=f1)
@@ -356,7 +355,7 @@ def predict_scores(
 ) -> np.ndarray:
     """Dropout-free scores for a batch of samples: the one scoring path.
 
-    A sample is resolved iff its score reaches metrics.DECISION_THRESHOLD.
+    metrics.status_of turns a score into a Status.
     """
     config = model.config
     if config.backend == EXTERNAL and store is None:

@@ -4,10 +4,10 @@ Every historical commit with a context line holding "todo" is rebuilt into
 a triple by the extractor that builds the corpus, lexing every mapped
 file, but only context-line TODOs qualify: a TODO that a commit resolved
 while leaving the comment untouched is the obsolete candidate. All are
-scored in one call; those scoring at least DECISION_THRESHOLD are checked
-in their own file at HEAD, which git grep reads for those files only:
-comments still there are potential obsolete findings, comments some later
-commit deleted are intermediate ones.
+scored in one call; those whose score metrics.status_of calls resolved
+(never a NaN score) are checked in their own file at HEAD, which git grep
+reads for those files only: comments still there are potential obsolete
+findings, comments some later commit deleted are intermediate ones.
 """
 
 from __future__ import annotations
@@ -18,23 +18,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
+# Five names are imported only for bench/tracing.py to patch.
 from .comments import (
     Language,
     TodoComment,
-    associate,  # not called here: bench/tracing.py patches this name
-    carve_code_change,  # not called here: bench/tracing.py patches this name
-    extract_comments_by_file,  # not called here: bench/tracing.py patches this name
+    associate,
+    carve_code_change,
+    extract_comments_by_file,
     language_for_path,
     line_todos,
 )
 from .corpus import TripleSample, extract_triple
-from .diffs import (
-    LineKind,
-    normalize_diff,  # not called here: bench/tracing.py patches this name
-    normalize_text,
-    parse_unified_diff,  # not called here: bench/tracing.py patches this name
-)
-from .metrics import DECISION_THRESHOLD
+from .diffs import LineKind, normalize_diff, normalize_text, parse_unified_diff
+from .metrics import Status, status_of
 from .mining import mine_repository, run_git
 
 # One HEAD hit of `git grep -z -n`: "HEAD:<path>\0<line number>\0<line>\n".
@@ -142,7 +138,7 @@ def scan_repository(
     # (file, text) -> (score, sample): same-text TODOs in two files stay apart.
     resolved: dict[tuple[str, str], tuple[float, TripleSample]] = {}
     for (sample, _, file_path), value in zip(triples, map(float, scores), strict=True):
-        if value < DECISION_THRESHOLD:
+        if status_of(value) is not Status.RESOLVED:
             continue
         key = (file_path, normalize_ws(sample.todo_comment))
         if key not in resolved or value > resolved[key][0]:

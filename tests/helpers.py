@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 
 from staletodo.corpus import Label, TripleSample
 from staletodo.diffs import DiffDocument, LineKind, RawCommit
+from staletodo.metrics import confusion, metrics
 from staletodo.model.network import (
     bce_loss,
     embedding_gradient,
@@ -21,6 +23,17 @@ from staletodo.model.network import (
 )
 from staletodo.model.optimizer import RowGradient
 from staletodo.model.vocab import PAD_INDEX, UNK_INDEX, Vocab, tokenize_for_model
+
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    """The benchmark's bench/tracing.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def make_doc(specs, files=(("a.py", "a.py"),)):
@@ -257,6 +270,14 @@ def padded_matrix(vocab: Vocab, texts, max_len: int) -> np.ndarray:
     rows = np.array([padded_ids(vocab, text, max_len) for text in texts], np.int64)
     width = max(1, int(np.count_nonzero(rows != PAD_INDEX, axis=1).max()))
     return rows[:, :width]
+
+
+def per_sample_evaluate(method, test, method_name="", dataset=""):
+    """Reference for metrics.evaluate: run a predictor over each sample of
+    the test set, then count the statuses against the labels."""
+    preds = [method(sample) for sample in test]
+    labels = [sample.label for sample in test]
+    return metrics(confusion(preds, labels), method=method_name, dataset=dataset)
 
 
 def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:

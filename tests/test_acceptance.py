@@ -17,7 +17,7 @@ from helpers import (
     make_separable_corpus,
     random_sample,
 )
-from staletodo.baselines import TfidfSpace, added_lines_text, irsc, tco, tcmo, tmo
+from staletodo.baselines import TfidfSpace, irsc, tco, tcmo, tmo
 from staletodo.comments import Language
 from staletodo.corpus import Label, build_triples, extract_triple, split_dataset, write_corpus
 from staletodo.diffs import RawCommit
@@ -134,8 +134,7 @@ def test_criterion_4_baseline_truth_table():
     thresholds = [t / 10 for t in range(11)]
     for i in range(1_000):
         sample = random_sample(rng, i)
-        added = added_lines_text(sample.code_change)
-        flags = [irsc(sample, added, t, space) is Status.RESOLVED for t in thresholds]
+        flags = [irsc(sample, space, t) is Status.RESOLVED for t in thresholds]
         if flags != sorted(flags, reverse=True):
             monotone_breaks += 1
 

@@ -124,51 +124,54 @@ class TestAddedLines:
 
 class TestIrsc:
     def test_identical_texts_cosine_one(self):
-        sample = make_sample(td="flush the queue buffer")
+        sample = make_sample(td="flush the queue buffer", cc="+flush the queue buffer")
         space = TfidfSpace(["unrelated words here", "queue flush"])
-        similarity = irsc_similarity(sample, "flush the queue buffer", space)
+        similarity = irsc_similarity(sample, space)
         assert math.isclose(similarity, 1.0, abs_tol=1e-12)
-        assert irsc(sample, "flush the queue buffer", 1.0, space) is Status.RESOLVED
+        assert irsc(sample, space, 1.0) is Status.RESOLVED
 
     def test_disjoint_vocabulary_cosine_zero(self):
-        sample = make_sample(td="todo: flush the queue")
-        assert irsc_similarity(sample, "alpha omega") == 0.0
-        assert irsc(sample, "alpha omega", 0.01) is Status.UNRESOLVED
+        sample = make_sample(td="todo: flush the queue", cc="+alpha omega")
+        assert irsc_similarity(sample, TfidfSpace()) == 0.0
+        assert irsc(sample, TfidfSpace(), 0.01) is Status.UNRESOLVED
 
     def test_hand_computed_equal_tf_example(self):
         # collection: comment {alpha,beta}, added {beta,gamma},
         # background ["alpha"], ["gamma delta"]; every df = 2, idf = ln2.
         # cos = ln2^2 / (ln2*sqrt2)^2 = 0.5
-        sample = make_sample(td="alpha beta")
+        sample = make_sample(td="alpha beta", cc="+beta gamma")
         space = TfidfSpace(["alpha", "gamma delta"])
-        similarity = irsc_similarity(sample, "beta gamma", space)
+        similarity = irsc_similarity(sample, space)
         assert math.isclose(similarity, 0.5, rel_tol=1e-12)
-        assert irsc(sample, "beta gamma", 0.3, space) is Status.RESOLVED
-        assert irsc(sample, "beta gamma", 0.6, space) is Status.UNRESOLVED
+        assert irsc(sample, space, 0.3) is Status.RESOLVED
+        assert irsc(sample, space, 0.6) is Status.UNRESOLVED
+
+    def test_reads_only_the_added_lines_of_the_code_change(self):
+        # As the equal-tf example: context and removed lines add no token.
+        sample = make_sample(td="alpha beta", cc=" alpha beta\n+beta gamma\n-alpha delta")
+        space = TfidfSpace(["alpha", "gamma delta"])
+        assert math.isclose(irsc_similarity(sample, space), 0.5, rel_tol=1e-12)
 
     def test_hand_computed_tf_weighted_example(self):
         # comment {beta:2, alpha:1}, added {beta:1, gamma:2}, same idf=ln2:
         # cos = 2*ln2^2 / (ln2*sqrt5)^2 = 0.4
-        sample = make_sample(td="beta beta alpha")
+        sample = make_sample(td="beta beta alpha", cc="+beta gamma gamma")
         space = TfidfSpace(["alpha", "gamma delta"])
-        similarity = irsc_similarity(sample, "beta gamma gamma", space)
+        similarity = irsc_similarity(sample, space)
         assert math.isclose(similarity, 0.4, rel_tol=1e-12)
 
     def test_shared_everywhere_token_weighs_zero(self):
         # "beta" occurs in every doc of the collection -> idf 0 -> no signal
-        sample = make_sample(td="beta alpha")
+        sample = make_sample(td="beta alpha", cc="+beta gamma")
         space = TfidfSpace(["beta alpha", "beta gamma"])
-        assert irsc_similarity(sample, "beta gamma", space) == 0.0
+        assert irsc_similarity(sample, space) == 0.0
 
     def test_monotone_in_threshold(self):
         rng = random.Random(41)
         space = TfidfSpace(["flush queue", "retry socket buffer"])
         for i in range(300):
             sample = random_sample(rng, i)
-            added = added_lines_text(sample.code_change)
-            verdicts = [
-                irsc(sample, added, t / 10, space) for t in range(0, 11)
-            ]
+            verdicts = [irsc(sample, space, t / 10) for t in range(0, 11)]
             resolved_flags = [v is Status.RESOLVED for v in verdicts]
             # once unresolved at a threshold, never resolved at a higher one
             assert resolved_flags == sorted(resolved_flags, reverse=True)
@@ -178,9 +181,7 @@ class TestIrsc:
         space = TfidfSpace(["flush queue", "retry socket", "alpha beta gamma"])
         for i in range(300):
             sample = random_sample(rng, i)
-            similarity = irsc_similarity(
-                sample, added_lines_text(sample.code_change), space
-            )
+            similarity = irsc_similarity(sample, space)
             assert 0.0 <= similarity <= 1.0 + 1e-12
 
     def test_cosine_zero_vector_defined_zero(self):

@@ -12,13 +12,28 @@ import numpy as np
 import pytest
 
 import staletodo.cli as cli
-from helpers import make_separable_corpus, planted_vectors, random_sample, read_meta
+import staletodo.baselines as bl
+from helpers import (
+    make_separable_corpus,
+    per_sample_evaluate,
+    planted_vectors,
+    random_sample,
+    read_meta,
+)
 from staletodo.__main__ import BLAS_THREAD_VARIABLES
-from staletodo.baselines import TfidfSpace, added_lines_text, background_documents, irsc
+from staletodo.baselines import TfidfSpace, added_lines_text, background_documents, cosine, irsc
 from staletodo.cli import main
 from staletodo.corpus import Label, read_corpus, split_dataset, write_corpus
 from staletodo.diffs import LineKind
-from staletodo.metrics import confusion, evaluate, metrics, ranking, report_record, status_of
+from staletodo.metrics import (
+    Status,
+    confusion,
+    format_report_table,
+    metrics,
+    ranking,
+    report_record,
+    status_of,
+)
 from staletodo.mining import mine_repository
 from staletodo.model import ExternalVectorStore, TrainConfig, load_model, predict_scores
 from staletodo.model.network import Component
@@ -236,6 +251,29 @@ class TestTrainEval:
         assert record["error"] == "modelfileerror"
         assert "component_mask" in record["detail"]
 
+    @pytest.mark.parametrize("command", ["eval", "scan"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_is_a_model_file_error_record(
+        self, command, value, synthetic_corpus_path, model_path, scan_repo, tmp_path, capsys
+    ):
+        with np.load(model_path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["mlp_w0"] = arrays["mlp_w0"].copy()
+        arrays["mlp_w0"][1, 2] = value
+        path = str(tmp_path / "model.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        argv = {
+            "eval": ["eval", "--corpus", synthetic_corpus_path, "--model", path],
+            "scan": ["scan", "--repo", str(scan_repo), "--model", path],
+        }[command]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "modelfileerror", "detail": "array 'mlp_w0' holds a non-finite value"
+        }
+        assert "finding(s)" not in out and "Measure" not in out
+
     def test_eval_without_targets_errors(self, synthetic_corpus_path, capsys):
         code = main(["eval", "--corpus", synthetic_corpus_path])
         assert code == 1
@@ -429,13 +467,11 @@ class TestConsoleEntry:
 
 
 def per_threshold_sweep(val, space):
-    """The sweep as one evaluate() run per threshold: the reference."""
+    """The sweep as one per-sample evaluation per threshold: the reference."""
     best_threshold, best_f1 = 0.3, -1.0
     for i in range(1, 20):
         threshold = i / 20
-        report = evaluate(
-            lambda s: irsc(s, added_lines_text(s.code_change), threshold, space), val
-        )
+        report = per_sample_evaluate(lambda s: irsc(s, space, threshold), val)
         f1 = -1.0 if report.f1 is None else report.f1
         if f1 > best_f1:
             best_threshold, best_f1 = threshold, f1
@@ -453,3 +489,75 @@ def test_irsc_sweep_matches_per_threshold_evaluate():
         assert threshold == per_threshold_sweep(val, space)
         picked.add(threshold)
     assert len(picked) > 3  # the workloads exercise more than one winner
+
+
+def test_irsc_sweep_without_a_defined_f1_keeps_the_default():
+    # With no positive in the split, recall and so F1 are undefined at every threshold.
+    rng = random.Random(5)
+    val = [
+        dataclasses.replace(random_sample(rng, i), label=Label.NEGATIVE,
+                            todo_line_kind=LineKind.CONTEXT)
+        for i in range(20)
+    ]
+    assert cli._sweep_irsc(val, TfidfSpace()) == 0.3
+
+
+def reference_reports(test, scores, space, threshold, dataset):
+    """eval's rows, each from a predictor run per sample (per_sample_evaluate),
+    the decision rules written out here."""
+    by_sample = dict(zip(map(id, test), scores))
+
+    def verdict(resolved):
+        return Status.RESOLVED if resolved else Status.UNRESOLVED
+
+    classifier = per_sample_evaluate(
+        lambda s: verdict(by_sample[id(s)] >= 0.5), test, "classifier", dataset
+    )
+    auc, average_precision = ranking(scores, [s.label for s in test])
+    reports = [dataclasses.replace(classifier, auc=auc, average_precision=average_precision)]
+    for name, fn in (("TCO", bl.tco), ("TMO", bl.tmo), ("TCMO", bl.tcmo)):
+        for suffix, stemming in (("", True), (" (no stem)", False)):
+            predictor = lambda s, fn=fn, stemming=stemming: fn(s, use_stemming=stemming)
+            reports.append(per_sample_evaluate(predictor, test, name + suffix, dataset))
+
+    def irsc_verdict(s):
+        similarity = cosine(*space.pair_vectors(s.todo_comment, added_lines_text(s.code_change)))
+        return verdict(similarity >= threshold)
+
+    reports.append(per_sample_evaluate(irsc_verdict, test, f"IRSC@{threshold}", dataset))
+    return reports
+
+
+@pytest.mark.parametrize("seed, irsc_option", [
+    (0, ["--irsc-threshold", "0.1"]),
+    (1, []),
+    (2, ["--irsc-threshold", "0.45"]),
+    (3, ["--irsc-sweep"]),
+])
+def test_every_eval_row_equals_the_per_sample_reference(seed, irsc_option, tmp_path, capsys):
+    rng = random.Random(seed)
+    corpus, model, records = (str(tmp_path / name)
+                              for name in ("corpus.jsonl", "model.npz", "records.jsonl"))
+    write_corpus([random_sample(rng, i) for i in range(rng.randint(40, 90))], corpus)
+    argv = ["train", "--corpus", corpus, "--out", model, "--epochs", "3", "--dim", "8",
+            "--min-freq", "1", "--validate-every", "4", "--seed", str(seed)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv = ["eval", "--corpus", corpus, "--model", model, "--baselines", "--seed", str(seed),
+            "--records", records, *irsc_option]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+
+    split = split_dataset(read_corpus(corpus), seed=seed)
+    test = list(split.test)
+    space = TfidfSpace(background_documents(list(split.train)))
+    if irsc_option == ["--irsc-sweep"]:
+        threshold = per_threshold_sweep(list(split.val), space)
+    else:
+        threshold = float(irsc_option[1]) if irsc_option else 0.3
+    expected = reference_reports(
+        test, predict_scores(test, load_model(model)), space, threshold, corpus
+    )
+    rows = [json.loads(line) for line in open(records, encoding="utf-8")]
+    assert rows == [report_record(report) for report in expected]
+    assert format_report_table(expected) in out

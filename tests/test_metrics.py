@@ -1,5 +1,6 @@
 """Confusion counting, metric formulas and the evaluation harness."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from helpers import make_sample
 from staletodo.baselines import tcmo
 from staletodo.corpus import Label
 from staletodo.metrics import (
+    DECISION_THRESHOLD,
     Confusion,
     EmptyEvaluation,
     LengthMismatch,
@@ -22,6 +24,7 @@ from staletodo.metrics import (
     metrics,
     ranking,
     report_record,
+    status_of,
 )
 
 
@@ -130,6 +133,21 @@ class TestMetrics:
         assert format_percent(f1) == "85.3%"
 
 
+class TestStatusOf:
+    def test_resolved_from_the_threshold_up(self):
+        assert status_of(DECISION_THRESHOLD) is Status.RESOLVED
+        assert status_of(math.nextafter(DECISION_THRESHOLD, 0.0)) is Status.UNRESOLVED
+        assert status_of(1.0) is Status.RESOLVED and status_of(0.0) is Status.UNRESOLVED
+
+    def test_own_threshold(self):
+        assert status_of(0.3, 0.3) is Status.RESOLVED
+        assert status_of(0.29, 0.3) is Status.UNRESOLVED
+
+    def test_nan_score_is_unresolved_at_every_threshold(self):
+        for threshold in (0.0, DECISION_THRESHOLD, -math.inf):
+            assert status_of(math.nan, threshold) is Status.UNRESOLVED
+
+
 class TestEvaluate:
     def _balanced(self, n=20):
         return [
@@ -140,15 +158,27 @@ class TestEvaluate:
             for i in range(n)
         ]
 
+    def _labels(self, samples):
+        return [s.label for s in samples]
+
     def test_constant_resolved_predictor(self):
-        report = evaluate(lambda s: Status.RESOLVED, self._balanced(), "always")
+        labels = self._labels(self._balanced())
+        report = evaluate([Status.RESOLVED] * len(labels), labels, "always")
         assert report.recall == 1.0
         assert report.precision == 0.5
+        assert report.method == "always"
 
     def test_constant_unresolved_predictor(self):
-        report = evaluate(lambda s: Status.UNRESOLVED, self._balanced(), "never")
+        labels = self._labels(self._balanced())
+        report = evaluate([Status.UNRESOLVED] * len(labels), labels, "never")
         assert report.recall == 0.0
         assert report.precision is None
+
+    def test_empty_and_mismatched_inputs_refused(self):
+        with pytest.raises(EmptyEvaluation):
+            evaluate([], [])
+        with pytest.raises(LengthMismatch):
+            evaluate([Status.RESOLVED], self._labels(self._balanced(2)))
 
     def test_permutation_invariance(self):
         samples = self._balanced(40)
@@ -156,11 +186,11 @@ class TestEvaluate:
         predictor = lambda s: (
             Status.RESOLVED if int(s.commit_id[1:]) % 3 == 0 else Status.UNRESOLVED
         )
-        base = evaluate(predictor, samples)
+        base = evaluate([predictor(s) for s in samples], self._labels(samples))
         for _ in range(5):
             shuffled = samples[:]
             rng.shuffle(shuffled)
-            report = evaluate(predictor, shuffled)
+            report = evaluate([predictor(s) for s in shuffled], self._labels(shuffled))
             assert (
                 report.accuracy,
                 report.precision,
@@ -179,9 +209,9 @@ class TestEvaluate:
                 make_sample(cc=cc, td="todo: purge the queue", msg=msg, label=label,
                             commit_id=f"c{i:06d}")
             )
-        report = evaluate(tcmo, samples, "TCMO")
-
         verdicts = [tcmo(s) for s in samples]
+        report = evaluate(verdicts, self._labels(samples), "TCMO")
+
         tp, tn, fp, fn = counting_oracle(verdicts, [s.label for s in samples])
         expected = metrics(Confusion(tp, tn, fp, fn))
         assert report.accuracy == expected.accuracy

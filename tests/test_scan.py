@@ -1,6 +1,7 @@
 """Repository scanning for obsolete TODO comments."""
 
 import json
+import math
 import os
 import re
 
@@ -202,6 +203,15 @@ class TestScanRepository:
 
     def test_no_predictions_no_findings(self, scan_repo):
         assert scan_repository(scan_repo, never_resolved) == []
+
+    def test_nan_score_gives_no_finding(self, scan_repo):
+        # metrics.status_of calls a NaN score unresolved, as eval counts it.
+        assert scan_repository(scan_repo, lambda samples: [math.nan] * len(samples)) == []
+        scores = {"todo: flush the queue": math.nan, "todo: retry the socket": 0.9}
+        findings = scan_repository(
+            scan_repo, lambda samples: [scores[s.todo_comment] for s in samples]
+        )
+        assert [(f.todo_text, f.score) for f in findings] == [("todo: retry the socket", 0.9)]
 
     def test_scan_is_read_only(self, scan_repo):
         head_before = git(scan_repo, "rev-parse", "HEAD").strip()

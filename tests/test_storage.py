@@ -366,6 +366,18 @@ class TestModelFileChecks:
             load_model(path)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mlp_w1", "mlp_b0", "emb_td"])
+    def test_array_holding_a_non_finite_value_is_refused(self, trained, tmp_path, name, value):
+        def poison(meta, arrays):
+            arrays[name] = arrays[name].copy()
+            arrays[name].flat[-1] = value
+
+        path = edited_model_file(trained[0], tmp_path, poison)
+        with pytest.raises(ModelFileError, match=f"array '{name}' holds a non-finite value"):
+            load_model(path)
+
+
 class TestFloat64ModelFile:
     """A format-3 file written when training made float64 arrays.
 
@@ -435,6 +447,42 @@ class TestVectorFile:
         with pytest.raises(VectorFileError) as exc:
             ExternalVectorStore.read(str(path))
         assert exc.value.line_no == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        good = text_hash("x") + " " + " ".join(["1.0"] * 768)
+        fields = [text_hash("y"), "0.5", value] + ["1.0"] * 766
+        path.write_text(good + "\n" + " ".join(fields) + "\n", encoding="utf-8")
+        named = f"line 2: value 2 is '{value}', not finite"
+        with pytest.raises(VectorFileError, match=named) as exc:
+            ExternalVectorStore.read(str(path))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "digest",
+        ["ab" * 31, "ab" * 33, "g" + "a" * 63, "0x" + "a" * 62, "\u0661" * 64],
+        ids=["short", "long", "not-hex", "prefixed", "arabic-indic-digits"],
+    )
+    def test_hash_that_is_not_64_hex_characters_reports_line(self, tmp_path, digest):
+        path = tmp_path / "bad.txt"
+        path.write_text(" ".join([digest] + ["0.0"] * 768) + "\n", encoding="utf-8")
+        with pytest.raises(VectorFileError, match="is not 64 hex characters") as exc:
+            ExternalVectorStore.read(str(path))
+        assert exc.value.line_no == 1
+
+    def test_upper_case_hash_is_read_as_its_lower_case(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        record = " ".join([text_hash("x").upper()] + ["0.25"] * 768)
+        path.write_text(record + "\n", encoding="utf-8")
+        assert np.array_equal(ExternalVectorStore.read(str(path)).lookup("x"), np.full(768, 0.25))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_write_rejected(self, tmp_path, value):
+        vector = np.zeros(768)
+        vector[7] = value
+        with pytest.raises(ValueError, match=f"{text_hash('x')} is not finite"):
+            write_external_vectors(str(tmp_path / "bad.txt"), [("x", vector)])
 
     def test_record_format_hash_then_768_decimals(self, tmp_path):
         path = tmp_path / "vectors.txt"
