@@ -28,7 +28,6 @@ from .mining import (
     NotARepository,
     mine_repository,
     read_commits,
-    write_commits,
 )
 from .model import (
     ExternalVectorStore,
@@ -41,6 +40,7 @@ from .model import (
     save_model,
     train,
 )
+from .records import replacing, write_records
 from .scan import scan_repository, write_findings
 
 # One seed picks the split and seeds training, so eval sees train's test split.
@@ -54,7 +54,7 @@ def _fail(kind: str, detail: str) -> int:
 
 def _cmd_mine(args) -> int:
     commits = mine_repository(args.repo)
-    count = write_commits(commits, args.out)
+    count = write_records(map(vars, commits), args.out)
     print(f"mined {count} commits from {args.repo} -> {args.out}")
     return 0
 
@@ -65,8 +65,7 @@ def _cmd_build(args) -> int:
     write_corpus(samples, args.out)
     stats = corpus_stats(samples, counts.todo_commits)
     report = render_stats(stats)
-    stats_path = args.out + ".stats.txt"
-    with open(stats_path, "w", encoding="utf-8") as fh:
+    with replacing(args.out + ".stats.txt") as fh:
         fh.write(report + "\n")
     print(report)
     print(
@@ -121,6 +120,8 @@ def _load_scorer(args) -> Callable[[Sequence[TripleSample]], Sequence[float]]:
 
 
 def _cmd_eval(args) -> int:
+    if not 0 <= args.irsc_threshold <= 1:  # NaN lies in no interval
+        raise ValueError(f"--irsc-threshold must lie in [0, 1], got {args.irsc_threshold}")
     samples = read_corpus(args.corpus)
     split = split_dataset(samples, seed=args.seed)
     test = list(split.test)
@@ -152,9 +153,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("nothing to evaluate: pass --model and/or --baselines")
     print(format_report_table(reports))
     if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            for report in reports:
-                fh.write(json.dumps(report_record(report)) + "\n")
+        write_records(map(report_record, reports), args.records)
         print(f"records -> {args.records}")
     return 0
 

@@ -34,6 +34,7 @@ from .diffs import (
     normalize_message,
     parse_unified_diff,
 )
+from .records import write_records
 
 log = logging.getLogger(__name__)
 
@@ -261,14 +262,8 @@ _FIELDS: dict[str, Optional[type[Enum]]] = {
 
 
 def write_corpus(samples: Iterable[TripleSample], path: str) -> int:
-    """Write newline-delimited records; returns the record count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            record = {name: getattr(sample, name) for name in _FIELDS}
-            fh.write(json.dumps(record, ensure_ascii=False, default=lambda e: e.value) + "\n")
-            count += 1
-    return count
+    """Replace path with one record per sample; returns the record count."""
+    return write_records(({name: getattr(s, name) for name in _FIELDS} for s in samples), path)
 
 
 def read_corpus(path: str) -> list[TripleSample]:

@@ -15,7 +15,6 @@ import codecs
 import dataclasses
 import json
 import logging
-import os
 import re
 import subprocess
 from functools import partial
@@ -146,30 +145,6 @@ def mine_repository(repo_path: str, repo_name: Optional[str] = None) -> Iterator
         returncode = proc.wait()
     if returncode != 0 and "does not have any commits" not in stderr:
         raise GitFailed(stderr.strip())
-
-
-def write_commits(commits: Iterable[RawCommit], path: str) -> int:
-    """Persist mined commits as newline-delimited records; returns count.
-
-    The records stream to path + ".tmp", which replaces path only once
-    commits has ended: if it raises, the temporary file is removed and path
-    is left as it was. path must be a regular file or not exist.
-    """
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise ValueError(f"{path} is not a regular file")
-    tmp = f"{path}.tmp"
-    count = 0
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for commit in commits:
-                record = {name: getattr(commit, name) for name in _FIELDS}
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                count += 1
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-    return count
 
 
 def read_commits(path: str) -> Iterator[RawCommit]:

@@ -10,7 +10,8 @@ external-backend model holds no vocabulary.
 
 The header, the "meta" entry, is a 0-d bytes array of compact UTF-8 JSON:
 one byte per ASCII character. Files written before hold it as a 0-d numpy
-string, four bytes per character, and load the same way. A header that is
+string, four bytes per character, and load the same way. A file that is
+not a zip archive (empty, cut short, text or a bare .npy), a header that is
 neither, is not UTF-8 or is not JSON, a missing entry, a meta entry of the
 wrong type, a config field TrainConfig refuses, an array of another dtype
 or holding a non-finite value, an array nothing reads, a table whose width
@@ -31,9 +32,12 @@ import dataclasses
 import hashlib
 import json
 import re
+import zipfile
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
+
+from ..records import replacing
 
 FORMAT_VERSION = 3
 EXTERNAL_DIM = 768
@@ -109,9 +113,9 @@ class ExternalVectorStore:
 
 
 def write_external_vectors(path: str, records: Iterable[tuple[str, np.ndarray]]) -> int:
-    """Write (text, vector) pairs; returns the record count."""
+    """Replace path with (text, vector) pairs; returns the record count."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for text, vector in records:
             vector = np.asarray(vector, dtype=float)
             if vector.shape != (EXTERNAL_DIM,):
@@ -132,7 +136,7 @@ def save_model(model, path: str) -> None:
         "encoders": {c.value: list(e.vocab.tokens) for c, e in model.encoders.items()},
     }
     # A file object, not a path: np.savez would append ".npz" to a path.
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         np.savez(fh, meta=encode_meta(meta), **model.arrays())
 
 
@@ -165,12 +169,15 @@ def load_model(path: str):
     from .training import INTERNAL, ModelParams, TrainConfig
     from .vocab import make_vocab
 
+    with open(path, "rb") as fh:  # a missing file stays an OSError
+        if not zipfile.is_zipfile(fh):
+            raise ModelFileError(f"not a model file: {path} is not a zip archive")
     with np.load(path, allow_pickle=False) as archive:
         if "meta" not in archive:
             raise ModelFileError("not a model file: missing meta entry")
         try:
             entry = archive["meta"]
-        except ValueError as exc:  # such as an object array, which needs pickle
+        except (ValueError, zipfile.BadZipFile) as exc:  # an object array, a bad CRC
             raise ModelFileError(f"model meta: {exc}") from None
         meta = decode_meta(entry)
         if not isinstance(meta, dict):
@@ -220,7 +227,7 @@ def load_model(path: str):
                 continue
             try:
                 arrays[name] = archive[name]
-            except ValueError as exc:  # such as an object array, which needs pickle
+            except (ValueError, zipfile.BadZipFile) as exc:  # an object array, a bad CRC
                 raise ModelFileError(f"array {name!r}: {exc}") from None
             if arrays[name].dtype not in PARAM_DTYPES:
                 raise ModelFileError(

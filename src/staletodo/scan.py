@@ -12,7 +12,6 @@ findings, comments some later commit deleted are intermediate ones.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +31,7 @@ from .corpus import TripleSample, extract_triple
 from .diffs import LineKind, normalize_diff, normalize_text, parse_unified_diff
 from .metrics import Status, status_of
 from .mining import mine_repository, run_git
+from .records import write_records
 
 # One HEAD hit of `git grep -z -n`: "HEAD:<path>\0<line number>\0<line>\n".
 _GREP_HIT_RE = re.compile(r"HEAD:([^\0]*)\0(\d+)\0([^\n]*)\n")
@@ -158,14 +158,5 @@ def scan_repository(
     return findings
 
 
-def finding_record(finding: ScanFinding) -> dict:
-    return {**vars(finding), "classification": finding.classification.value}
-
-
 def write_findings(findings: Iterable[ScanFinding], path: str) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for finding in findings:
-            fh.write(json.dumps(finding_record(finding), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return write_records(map(vars, findings), path)

@@ -12,7 +12,7 @@ import numpy as np
 
 from staletodo.corpus import Label, TripleSample
 from staletodo.diffs import DiffDocument, LineKind, RawCommit
-from staletodo.metrics import confusion, metrics
+from staletodo.metrics import confusion, metrics, report_record
 from staletodo.model.network import (
     bce_loss,
     embedding_gradient,
@@ -278,6 +278,41 @@ def per_sample_evaluate(method, test, method_name="", dataset=""):
     preds = [method(sample) for sample in test]
     labels = [sample.label for sample in test]
     return metrics(confusion(preds, labels), method=method_name, dataset=dataset)
+
+
+# The four JSONL loops that records.write_records replaced, kept as its
+# reference: mine's commits, build's corpus, eval's records, scan's findings.
+COMMIT_FIELDS = ("commit_id", "message", "diff_text", "repo")
+CORPUS_FIELDS = (
+    "repo", "commit_id", "todo_comment", "code_change", "commit_msg", "label", "todo_line_kind",
+)
+
+
+def reference_write_commits(commits, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for commit in commits:
+            record = {name: getattr(commit, name) for name in COMMIT_FIELDS}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def reference_write_corpus(samples, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for sample in samples:
+            record = {name: getattr(sample, name) for name in CORPUS_FIELDS}
+            fh.write(json.dumps(record, ensure_ascii=False, default=lambda e: e.value) + "\n")
+
+
+def reference_write_eval_records(reports, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for report in reports:
+            fh.write(json.dumps(report_record(report)) + "\n")
+
+
+def reference_write_findings(findings, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for finding in findings:
+            record = {**vars(finding), "classification": finding.classification.value}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def gradient_check_instance(seed: int, fd_step: float = 1e-5) -> float:

@@ -40,6 +40,7 @@ from staletodo.model.network import Component
 from staletodo.model.storage import encode_meta, write_external_vectors
 from staletodo.model.training import component_text
 from staletodo.model.vocab import build_vocab
+from staletodo.records import write_records
 from staletodo.scan import candidate_triples, scan_repository, write_findings
 
 
@@ -160,6 +161,53 @@ class TestTrainEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "IRSC threshold swept" in out
+
+    @pytest.mark.parametrize("threshold", ["nan", "-5", "1.5", "inf"])
+    def test_irsc_threshold_outside_0_1_is_a_value_error_record(
+        self, synthetic_corpus_path, threshold, capsys
+    ):
+        argv = ["eval", "--corpus", synthetic_corpus_path, "--baselines",
+                "--irsc-threshold", threshold]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "valueerror",
+            "detail": f"--irsc-threshold must lie in [0, 1], got {float(threshold)}",
+        }
+        assert "IRSC" not in out
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_irsc_threshold_at_either_end_is_accepted(
+        self, synthetic_corpus_path, threshold, capsys
+    ):
+        argv = ["eval", "--corpus", synthetic_corpus_path, "--baselines",
+                "--irsc-threshold", threshold]
+        assert main(argv) == 0
+        assert f"IRSC@{float(threshold)} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval", "scan"])
+    @pytest.mark.parametrize("kind", ["empty", "truncated", "text", "npy"])
+    def test_file_that_is_not_an_archive_is_a_model_file_error_record(
+        self, command, kind, synthetic_corpus_path, model_path, scan_repo, tmp_path, capsys
+    ):
+        path = tmp_path / "model.npz"
+        if kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            model = Path(model_path).read_bytes()
+            path.write_bytes({"empty": b"", "truncated": model[: len(model) // 2],
+                              "text": b'{"format_version": 3}\n'}[kind])
+        argv = {
+            "eval": ["eval", "--corpus", synthetic_corpus_path, "--model", str(path)],
+            "scan": ["scan", "--repo", str(scan_repo), "--model", str(path)],
+        }[command]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "modelfileerror", "detail": f"not a model file: {path} is not a zip archive"
+        }
+        assert "finding(s)" not in out and "Measure" not in out
 
     def test_train_defaults_are_the_config_defaults(
         self, synthetic_corpus_path, tmp_path, monkeypatch
@@ -323,6 +371,36 @@ class TestBrokenHistory:
         assert main(["mine", "--repo", str(repo), "--out", str(out)]) == 1
         assert (out.read_text(encoding="utf-8") if out.exists() else None) == before
         assert not (tmp_path / "commits.jsonl.tmp").exists()
+
+
+class TestOutputPaths:
+    """Every stage replaces its output whole and refuses a path that is not a file."""
+
+    @pytest.mark.parametrize("stage", ["build", "train", "eval", "scan"])
+    def test_directory_is_a_value_error_record_and_left_untouched(
+        self, stage, pipeline_repo, synthetic_corpus_path, model_path, scan_repo, tmp_path, capsys
+    ):
+        commits = tmp_path / "commits.jsonl"
+        write_records(map(vars, mine_repository(pipeline_repo)), str(commits))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n", encoding="utf-8")
+        argv = {
+            "build": ["build", "--in", str(commits), "--out", str(out), "--lang", "python"],
+            "train": ["train", "--corpus", synthetic_corpus_path, "--out", str(out),
+                      "--epochs", "1"],
+            "eval": ["eval", "--corpus", synthetic_corpus_path, "--baselines",
+                     "--records", str(out)],
+            "scan": ["scan", "--repo", str(scan_repo), "--model", model_path,
+                     "--report", str(out)],
+        }[stage]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+            "error": "valueerror", "detail": f"{out} is not a regular file"
+        }
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["commits.jsonl", "out"]
 
 
 class TestScanCommand:

@@ -23,8 +23,8 @@ from staletodo.mining import (
     read_commit_stream,
     read_commits,
     run_git,
-    write_commits,
 )
+from staletodo.records import write_records
 
 
 class TestMineRepository:
@@ -140,7 +140,7 @@ class TestUserGitConfig:
         monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
         plain_log = run_git(str(repo), ["log", "-p"])
         plain = tmp_path / "plain.jsonl"
-        write_commits(mine_repository(repo), str(plain))
+        write_records(map(vars, mine_repository(repo)), str(plain))
         hostile = tmp_path / "gitconfig"
         monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(hostile))
         for setting in self.HUNK_SETTINGS:
@@ -148,7 +148,7 @@ class TestUserGitConfig:
             assert run_git(str(repo), ["log", "-p"]) != plain_log, setting
         hostile.write_text("[diff]\n" + "".join(f"\t{s}\n" for s in self.HUNK_SETTINGS))
         mined = tmp_path / "hostile.jsonl"
-        write_commits(mine_repository(repo), str(mined))
+        write_records(map(vars, mine_repository(repo)), str(mined))
         assert mined.read_bytes() == plain.read_bytes()
 
 
@@ -247,18 +247,13 @@ class TestCommitPersistence:
     def test_round_trip(self, mining_repo, tmp_path):
         commits = list(mine_repository(mining_repo))
         path = str(tmp_path / "commits.jsonl")
-        assert write_commits(commits, path) == 5
+        assert write_records(map(vars, commits), path) == 5
         assert list(read_commits(path)) == commits
-
-    def test_out_that_is_not_a_regular_file_is_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="not a regular file"):
-            write_commits(iter([]), str(tmp_path))
-        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_record_skipped(self, mining_repo, tmp_path, caplog):
         commits = list(mine_repository(mining_repo))
         path = tmp_path / "commits.jsonl"
-        write_commits(commits, str(path))
+        write_records(map(vars, commits), str(path))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
             fh.write(json.dumps({"commit_id": "a" * 40, "message": "m", "diff_text": None}) + "\n")

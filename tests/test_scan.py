@@ -27,7 +27,6 @@ from staletodo.scan import (
     _has_context_todo,
     _head_todo_index,
     candidate_triples,
-    finding_record,
     language_for_path,
     normalize_ws,
     scan_repository,
@@ -400,9 +399,11 @@ class TestHeadIndex:
 
 
 class TestFindingReport:
-    def test_record_fields(self, scan_repo):
+    def test_record_fields(self, scan_repo, tmp_path):
         findings = scan_repository(scan_repo, always_resolved)
-        record = finding_record(findings[0])
+        path = tmp_path / "report.jsonl"
+        write_findings(findings[:1], str(path))
+        record = json.loads(path.read_text(encoding="utf-8"))
         assert set(record) == {
             "file_path",
             "line_no",

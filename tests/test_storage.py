@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,21 @@ class TestModelFileChecks:
         with pytest.raises(ModelFileError, match="do not match"):
             load_model(path)
 
+
+    def test_array_whose_bytes_were_changed_is_refused(self, trained, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(trained[0], str(path))
+        data = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("emb_td.npy")
+        # A local file header is 30 bytes, then the name and the extra field.
+        start = info.header_offset + 30 + int.from_bytes(
+            data[info.header_offset + 26 : info.header_offset + 28], "little"
+        ) + int.from_bytes(data[info.header_offset + 28 : info.header_offset + 30], "little")
+        data[start + info.compress_size - 1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFileError, match="array 'emb_td': Bad CRC-32"):
+            load_model(str(path))
 
     def test_format_3_file_with_the_former_config_fields_loads(self, trained, tmp_path):
         # Each earlier format-3 file echoes the config fields of its time, in
@@ -483,6 +499,18 @@ class TestVectorFile:
         vector[7] = value
         with pytest.raises(ValueError, match=f"{text_hash('x')} is not finite"):
             write_external_vectors(str(tmp_path / "bad.txt"), [("x", vector)])
+
+    def test_refused_vector_leaves_the_file_as_it_was(self, tmp_path):
+        rng = np.random.default_rng(5)
+        good = [(f"text {i}", rng.normal(size=768)) for i in range(3)]
+        path = tmp_path / "vectors.txt"
+        write_external_vectors(str(path), good[:2])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="is not finite"):
+            write_external_vectors(str(path), [good[2], ("bad", np.full(768, np.nan))])
+        assert path.read_bytes() == before
+        assert len(before.splitlines()) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
 
     def test_record_format_hash_then_768_decimals(self, tmp_path):
         path = tmp_path / "vectors.txt"
